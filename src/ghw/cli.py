@@ -151,7 +151,7 @@ def cmd_hierarchy(args) -> int:
                 file=sys.stderr,
             )
             return 4
-        h = replace(closed, method="both")
+        h = replace(closed, method="both", witnesses=searched.witnesses)
     elapsed = int(round((perf_counter() - start) * 1000))
     if args.format == "json":
         payload = _base_payload(field, spec)
@@ -173,11 +173,8 @@ def cmd_hierarchy(args) -> int:
             writer.writerow([r, d, prov, h.method])
     else:
         _print_hierarchy_text(field, spec, h, elapsed)
-        if args.verbose and args.method != "formula":
-            for r in range(1, h.k + 1):
-                _, witness = ghw_prop1(
-                    field, spec, r, threads=args.threads, max_enum=args.max_enum
-                )
+        if args.verbose:
+            for r, witness in enumerate(h.witnesses, start=1):
                 rows = " ".join("".join(map(str, row)) for row in witness.basis)
                 print(f"  witness r={r}: [{rows}]")
     return 0

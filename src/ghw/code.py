@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from dataclasses import field as dataclass_field
 
 import numpy as np
 
@@ -87,6 +88,9 @@ class WeightHierarchy:
     values: tuple
     provenance: tuple
     method: str
+    # the search's optimal subspace per rank, in canonical order; empty
+    # for the other methods and never part of equality
+    witnesses: tuple = dataclass_field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.values) != self.k:
@@ -298,17 +302,17 @@ def _ghw_from_context(ctx: _SearchContext, r: int, threads: int = 1):
 def hierarchy_prop1(
     field: Field, spec: ComplexSpec, threads: int = 1, max_enum=None
 ) -> WeightHierarchy:
-    """Full weight hierarchy by subspace search, one search per rank."""
+    """Full weight hierarchy by subspace search, one search per rank,
+    keeping each rank's witness."""
     ctx = _search_context(field, spec, max_enum)
-    values = []
-    for r in range(1, ctx.k + 1):
-        value, _ = _ghw_from_context(ctx, r, threads)
-        values.append(value)
+    found = [_ghw_from_context(ctx, r, threads) for r in range(1, ctx.k + 1)]
+    values = tuple(value for value, _ in found)
     return WeightHierarchy(
         spec=spec,
         n=ctx.n,
         k=ctx.k,
-        values=tuple(values),
+        values=values,
         provenance=tuple("prop1-search" for _ in values),
         method="prop1-search",
+        witnesses=tuple(witness for _, witness in found),
     )

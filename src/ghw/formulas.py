@@ -12,14 +12,23 @@ both by their own table and by the overlap tables), every claimant is
 evaluated and any disagreement downgrades the answer to "not applicable"
 with the conflict spelled out, so a formula result is always corroborated.
 
-Range conventions follow the tables: lo/hi bounds with per-side
-strictness.  Bounds may fall outside 1..m or order themselves into an
-empty range; both simply mean the row covers no rank, never an error.
+The appendix tables A-Table8-11 cover three generators whose two largest
+sizes tie.  They are T3's Table 2 and Table 3 evaluated with the generator
+roles permuted, new role i played by old role pi[i] (t123 never moves):
+A-Table8 is Table 2 and A-Table9 is Table 3 under pi = (0, 2, 1),
+A-Table10 is Table 2 under (1, 2, 0) and A-Table11 Table 2 under
+(2, 1, 0).  Only the labels differ, except that A-Table9 keeps its own
+boundary rule: its second and third ranges exclude their upper ends.
+
+Range conventions follow the tables: lo/hi bounds, the lower one always
+inclusive, the upper one strict where a table says so.  Bounds may fall
+outside 1..m or order themselves into an empty range; both simply mean
+the row covers no rank, never an error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 from .code import WeightHierarchy
@@ -43,25 +52,13 @@ class _Row:
     lo: int
     hi: int
     value: object  # callable r -> int
-    lo_strict: bool = False
     hi_strict: bool = False
 
     def covers(self, r: int) -> bool:
-        above = self.lo < r if self.lo_strict else self.lo <= r
-        below = r < self.hi if self.hi_strict else r <= self.hi
-        return above and below
+        return self.lo <= r and (r < self.hi if self.hi_strict else r <= self.hi)
 
     def at(self, r: int) -> int:
         return self.value(r)
-
-
-def _pairwise_data(sets):
-    """Sizes and intersection sizes for a (size, lex)-sorted generator list."""
-    sizes = tuple(len(s) for s in sets)
-    inter = {}
-    for i, j in combinations(range(len(sets)), 2):
-        inter[(i + 1, j + 1)] = len(set(sets[i]) & set(sets[j]))
-    return sizes, inter
 
 
 # ----------------------------------------------------------------------
@@ -188,7 +185,6 @@ def rows_disjoint(q, m, sizes):
                 m - tails[j - 1],
                 m - tail,
                 lambda r, head=head, tail=tail, j=j: head - q ** (m - r - tail) - j + 1,
-                lo_strict=True,
             )
         )
     return rows
@@ -267,218 +263,67 @@ def rows_complement_disjoint(q, m, sizes):
     return rows
 
 
-def rows_three_swapped_low(q, m, a, t):
-    """Size-tied variant of the low-cross table with the top two roles swapped."""
-    (a1, a2, a3), (t12, t13, t23, t123) = a, t
-    n = _triple_n(q, a, t)
-    return [
-        _Row(
-            "A-Table8:row1",
-            1,
-            m - a2 - a3 + t23,
-            lambda r: q**a1 - q ** (m - r - a2 - a3 + t12 + t13 + t23 - t123),
-        ),
-        _Row(
-            "A-Table8:row2",
-            m - a2 - a3 + t23,
-            m - a3 - t13 + t123,
-            lambda r: q**a1
-            + q**a3
-            - q ** (m - r - a3 + t23)
-            - q ** (t12 + t13 - t123),
-            lo_strict=True,
-        ),
-        _Row(
-            "A-Table8:row3",
-            m - a3 - t13 + t123,
-            m - a3,
-            lambda r: q**a1
-            + q**a3
-            - q**t13
-            - q ** (m - r - a3 + t12)
-            - q ** (m - r - a3 + t23)
-            + q ** (m - r - a3 + t123),
-            lo_strict=True,
-        ),
-        _Row("A-Table8:row4", m - a3, m, lambda r: n - q ** (m - r), lo_strict=True),
-    ]
-
-
-def rows_three_swapped_high(q, m, a, t):
-    """Size-tied variant of the high-cross table with the top two roles swapped."""
-    (a1, a2, a3), (t12, t13, t23, t123) = a, t
-    n = _triple_n(q, a, t)
-    return [
-        _Row(
-            "A-Table9:row1",
-            1,
-            m - a2 - a3 + t23,
-            lambda r: q**a1 - q ** (m - r - a2 - a3 + t12 + t13 + t23 - t123),
-        ),
-        _Row(
-            "A-Table9:row2",
-            m - a2 - a3 + t23,
-            m - a1 - a3 + t23,
-            lambda r: q**a1
-            + q**a2
-            - q ** (m - r - a3 + t23)
-            - q ** (t12 + t13 - t123),
-            lo_strict=True,
-            hi_strict=True,
-        ),
-        _Row(
-            "A-Table9:row3",
-            m - a1 - a3 + t23,
-            m - a1 - a3 + t12,
-            lambda r: q**a2 - q ** (m - r - a1 - a3 + t12 + t13 + t23 - t123),
-            hi_strict=True,
-        ),
-        _Row(
-            "A-Table9:row4",
-            m - a1 - a3 + t12,
-            m - a3 - t13 + t123,
-            lambda r: q**a1
-            + q**a2
-            - q ** (t13 + t23 - t123)
-            - q ** (m - r - a3 + t12),
-        ),
-        _Row(
-            "A-Table9:row5",
-            m - a3 - t13 + t123,
-            m - a3,
-            lambda r: q**a1
-            + q**a2
-            - q**t13
-            - q ** (m - r - a3 + t12)
-            - q ** (m - r - a3 + t23)
-            + q ** (m - r - a3 + t123),
-            lo_strict=True,
-        ),
-        _Row("A-Table9:row6", m - a3, m, lambda r: n - q ** (m - r), lo_strict=True),
-    ]
-
-
-def rows_three_rotated(q, m, a, t):
-    """All-equal sizes with the smallest generator rotated into the top role."""
-    (a1, a2, a3), (t12, t13, t23, t123) = a, t
-    n = _triple_n(q, a, t)
-    return [
-        _Row(
-            "A-Table10:row1",
-            1,
-            m - a1 - a3 + t13,
-            lambda r: q**a2 - q ** (m - r - a1 - a3 + t12 + t13 + t23 - t123),
-        ),
-        _Row(
-            "A-Table10:row2",
-            m - a1 - a3 + t13,
-            m - a1 - t23 + t123,
-            lambda r: q**a2
-            + q**a3
-            - q ** (t12 + t23 - t123)
-            - q ** (m - r - a1 + t13),
-            lo_strict=True,
-        ),
-        _Row(
-            "A-Table10:row3",
-            m - a1 - t23 + t123,
-            m - a1,
-            lambda r: q**a2
-            + q**a3
-            - q**t23
-            - q ** (m - r - a1 + t12)
-            - q ** (m - r - a1 + t13)
-            + q ** (m - r - a1 + t123),
-            lo_strict=True,
-        ),
-        _Row("A-Table10:row4", m - a1, m, lambda r: n - q ** (m - r), lo_strict=True),
-    ]
-
-
-def rows_three_reversed(q, m, a, t):
-    """All-equal sizes with the generator order fully reversed."""
-    (a1, a2, a3), (t12, t13, t23, t123) = a, t
-    n = _triple_n(q, a, t)
-    return [
-        _Row(
-            "A-Table11:row1",
-            1,
-            m - a1 - a2 + t12,
-            lambda r: q**a3 - q ** (m - r - a1 - a2 + t12 + t13 + t23 - t123),
-        ),
-        _Row(
-            "A-Table11:row2",
-            m - a1 - a2 + t12,
-            m - a1 - t23 + t123,
-            lambda r: q**a2
-            + q**a3
-            - q ** (t13 + t23 - t123)
-            - q ** (m - r - a1 + t12),
-            lo_strict=True,
-        ),
-        _Row(
-            "A-Table11:row3",
-            m - a1 - t23 + t123,
-            m - a1,
-            lambda r: q**a2
-            + q**a3
-            - q**t23
-            - q ** (m - r - a1 + t12)
-            - q ** (m - r - a1 + t13)
-            + q ** (m - r - a1 + t123),
-            lo_strict=True,
-        ),
-        _Row("A-Table11:row4", m - a1, m, lambda r: n - q ** (m - r), lo_strict=True),
-    ]
-
-
 # ----------------------------------------------------------------------
 # dispatch
 
 
+# When the two largest generators tie, either of them can play the last
+# role, so the appendix tables are T3's two tables with the roles permuted
+# (see the module docstring).  In claimant order:
+# label -> (table, perm, rows whose upper bound is strict).
+_TIED_ARRANGEMENTS = {
+    "T3:Table2": (rows_three_low_cross, (0, 1, 2), ()),
+    "A-Table8": (rows_three_low_cross, (0, 2, 1), ()),
+    "T3:Table3": (rows_three_high_cross, (0, 1, 2), ()),
+    "A-Table10": (rows_three_low_cross, (1, 2, 0), ()),
+    "A-Table9": (rows_three_high_cross, (0, 2, 1), (2, 3)),
+    "A-Table11": (rows_three_low_cross, (2, 1, 0), ()),
+}
+# the last two move the smallest generator out of the first role, which
+# needs all three sizes equal; otherwise their orderings go to these
+_UNEQUAL_STAND_INS = {"A-Table10": "T3:Table3", "A-Table11": "A-Table9"}
+
+
+def _permuted(a, t, perm):
+    """Sizes and intersection sizes with new role i played by old role perm[i]."""
+    i, j, k = perm
+    cross = ((0, t[0], t[1]), (t[0], 0, t[2]), (t[1], t[2], 0))
+    return (a[i], a[j], a[k]), (cross[i][j], cross[i][k], cross[j][k], t[3])
+
+
 def _three_set_candidates(q, m, sets):
-    sizes, inter = _pairwise_data(sets)
-    a1, a2, a3 = sizes
-    t12, t13, t23 = inter[(1, 2)], inter[(1, 3)], inter[(2, 3)]
-    t123 = len(set(sets[0]) & set(sets[1]) & set(sets[2]))
-    a = (a1, a2, a3)
-    t = (t12, t13, t23, t123)
-    picks = []
-    if a2 < a3:
-        if t13 <= t23:
+    s1, s2, s3 = (set(s) for s in sets)
+    a = (len(s1), len(s2), len(s3))
+    t = (len(s1 & s2), len(s1 & s3), len(s2 & s3), len(s1 & s2 & s3))
+    if a[1] < a[2]:
+        picks = []
+        if t[1] <= t[2]:
             picks.append(("T3:Table2", rows_three_low_cross(q, m, a, t)))
-        if t13 >= t23:
+        if t[1] >= t[2]:
             picks.append(("T3:Table3", rows_three_high_cross(q, m, a, t)))
         return picks
-    # the top two sizes tie, so either of the large generators can play
-    # the last role; each ordering of the intersection sizes names the
-    # arrangement that keeps the table hypotheses satisfied
-    all_equal = a1 == a2
-    if t12 <= t13 <= t23:
-        picks.append(("T3:Table2", rows_three_low_cross(q, m, a, t)))
-    if t13 <= t12 <= t23:
-        picks.append(("A-Table8", rows_three_swapped_low(q, m, a, t)))
-    if t12 <= t23 <= t13:
-        picks.append(("T3:Table3", rows_three_high_cross(q, m, a, t)))
-    if t23 <= t12 <= t13:
-        if all_equal:
-            picks.append(("A-Table10", rows_three_rotated(q, m, a, t)))
+    # an arrangement claims the specification when its permuted
+    # intersection sizes rise along its table's chain: t12 <= t13 <= t23
+    # for Table 2, t12 <= t23 <= t13 for Table 3
+    picks = {}
+    for label, (table, perm, _) in _TIED_ARRANGEMENTS.items():
+        t12, t13, t23 = _permuted(a, t, perm)[1][:3]
+        if table is rows_three_low_cross:
+            claims = t12 <= t13 <= t23
         else:
-            picks.append(("T3:Table3", rows_three_high_cross(q, m, a, t)))
-    if t13 <= t23 <= t12:
-        picks.append(("A-Table9", rows_three_swapped_high(q, m, a, t)))
-    if t23 <= t13 <= t12:
-        if all_equal:
-            picks.append(("A-Table11", rows_three_reversed(q, m, a, t)))
-        else:
-            picks.append(("A-Table9", rows_three_swapped_high(q, m, a, t)))
-    seen = set()
-    unique = []
-    for key, rows in picks:
-        if key not in seen:
-            seen.add(key)
-            unique.append((key, rows))
-    return unique
+            claims = t12 <= t23 <= t13
+        if not claims:
+            continue
+        if a[0] < a[1]:
+            label = _UNEQUAL_STAND_INS.get(label, label)
+        if label not in picks:
+            table, perm, strict = _TIED_ARRANGEMENTS[label]
+            rows = table(q, m, *_permuted(a, t, perm), prefix=label)
+            picks[label] = [
+                replace(row, hi_strict=True) if i in strict else row
+                for i, row in enumerate(rows, start=1)
+            ]
+    return list(picks.items())
 
 
 def _select_tables(q: int, spec: ComplexSpec):
@@ -502,10 +347,8 @@ def _select_tables(q: int, spec: ComplexSpec):
         if l == 1:
             picks.append(("T1", rows_full_space(q, m)))
         elif l == 2:
-            sizes_, inter = _pairwise_data(sets)
-            picks.append(
-                ("T2:Table1", rows_two_overlapping(q, m, sizes_[0], sizes_[1], inter[(1, 2)]))
-            )
+            t12 = len(set(sets[0]) & set(sets[1]))
+            picks.append(("T2:Table1", rows_two_overlapping(q, m, *sizes, t12)))
         elif l == 3:
             picks.extend(_three_set_candidates(q, m, sets))
         elif not disjoint:
@@ -528,10 +371,8 @@ def _select_tables(q: int, spec: ComplexSpec):
     if l == 1:
         picks.append(("T5:Table5", rows_complement_single(q, m, sizes[0])))
     elif l == 2:
-        sizes_, inter = _pairwise_data(sets)
-        picks.append(
-            ("T6:Table6", rows_complement_two(q, m, sizes_[0], sizes_[1], inter[(1, 2)]))
-        )
+        t12 = len(set(sets[0]) & set(sets[1]))
+        picks.append(("T6:Table6", rows_complement_two(q, m, *sizes, t12)))
     elif not disjoint:
         raise NotApplicable(
             "no closed form handles three or more overlapping generators "

@@ -77,10 +77,6 @@ def subspace_from_vectors(field: Field, vectors, ambient: int) -> Subspace:
     return Subspace(ambient=ambient, dim=rank, basis=basis, pivots=pivots)
 
 
-def zero_subspace(ambient: int) -> Subspace:
-    return Subspace(ambient=ambient, dim=0, basis=(), pivots=())
-
-
 def contains(field: Field, sub: Subspace, vec) -> bool:
     """Membership test against an RREF basis.
 

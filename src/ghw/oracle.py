@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .code import LinearCode, WeightHierarchy, _matmul
+from .code import _CHUNK, LinearCode, WeightHierarchy, _matmul
 from .config import check_cap
 from .field import Field
 from .linalg import (
@@ -31,8 +31,6 @@ from .linalg import (
     subspace_from_vectors,
 )
 from .simplicial import codes_to_matrix
-
-_CHUNK = 4096
 
 
 def ghw_definitional(code: LinearCode, r: int, max_enum=None) -> int:

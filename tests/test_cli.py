@@ -116,6 +116,23 @@ def test_hierarchy_text_mentions_parameters(capsys):
     assert "r=1" in out and "d_r=8" in out
 
 
+def test_hierarchy_verbose_prints_search_witnesses(capsys):
+    argv = ["hierarchy", "--q", "2", "--m", "7", "--sets", "1,2,3;1,2,4,5;3,4,6,7"]
+    witnesses = [
+        "  witness r=1: [0000100]",
+        "  witness r=2: [0000010 0000001]",
+        "  witness r=3: [1000000 0100000 0000100]",
+        "  witness r=4: [1000000 0100000 0010000 0000100]",
+        "  witness r=5: [1000000 0100000 0010000 0001000 0000100]",
+        "  witness r=6: [1000000 0100000 0010000 0001000 0000100 0000010]",
+        "  witness r=7: [1000000 0100000 0010000 0001000 0000100 0000010 0000001]",
+    ]
+    for method, expected in (("both", witnesses), ("brute", witnesses), ("formula", [])):
+        assert cli.main(argv + ["--method", method, "--verbose"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if "witness" in line] == expected
+
+
 def test_params_on_verified_complement(capsys):
     ret = cli.main(
         ["params", "--q", "2", "--m", "5", "--sets", "2,3,4", "--complement", "--format", "json"]

@@ -95,9 +95,11 @@ def test_search_handles_extension_fields():
 def test_witness_attains_the_weight():
     spec = normalize(4, [[1, 2], [2, 3, 4]], False)
     code = build_code(F2, spec)
+    kept = hierarchy_prop1(F2, spec).witnesses
     for r in range(1, code.k + 1):
         value, witness = ghw_prop1(F2, spec, r)
         assert witness.dim == r
+        assert kept[r - 1] == witness
         # count defining vectors annihilated by the witness
         basis = np.array(witness.basis, dtype=np.int64)
         defining = code.generator.T

@@ -1,4 +1,6 @@
+import hashlib
 import random
+from itertools import combinations
 
 import pytest
 
@@ -100,6 +102,68 @@ def test_dispatch_on_size_ties():
     assert _table_ids(2, normalize(6, [[1, 2, 3], [1, 2, 4], [3, 5, 6]], False)) == [
         "A-Table11",
     ]
+
+
+def test_swapped_high_table_keeps_its_strict_boundaries():
+    # A-Table9's second and third ranges exclude their upper ends; with
+    # inclusive ends r=2 would read row3
+    spec = normalize(5, [[1, 2], [1, 3], [4, 5]], False)
+    for q in (2, 3):
+        assert _table_ids(q, spec) == ["A-Table9", "A-Table11"]
+        assert hierarchy_formula(q, spec).provenance == (
+            "A-Table9:row1",
+            "A-Table9:row4",
+            "A-Table9:row4",
+            "A-Table9:row6",
+            "A-Table9:row6",
+        )
+
+
+def _covering_triples(m):
+    """Every covering, containment-free three-generator spec on m coordinates."""
+    subsets = [
+        frozenset(c) for k in range(1, m + 1) for c in combinations(range(1, m + 1), k)
+    ]
+    for trio in combinations(subsets, 3):
+        if any(x < y for x in trio for y in trio):
+            continue
+        if frozenset().union(*trio) == frozenset(range(1, m + 1)):
+            yield normalize(m, [sorted(s) for s in trio], False)
+
+
+# sha256 of the record below as the hand-transcribed A-Table8-11 produced
+# it; the tables derived by role permutation must reproduce it byte for byte
+_TRIPLE_DISPATCH_SHA256 = "e72ba2d3b45c5ecd8452a07a32bf2e675f4c3709632cf9bd66bbf20041109f66"
+
+
+def test_three_generator_dispatch_is_pinned():
+    """Claimants, values and provenance (or the reason no closed form
+    applies) of every covering three-generator spec with m <= 6 over GF(2)
+    and GF(3), hashed; every three-generator table appears in it."""
+    lines = []
+    seen = set()
+    for m in range(3, 7):
+        for spec in _covering_triples(m):
+            for q in (2, 3):
+                keys = _table_ids(q, spec)
+                seen.update(keys)
+                try:
+                    h = hierarchy_formula(q, spec)
+                    outcome = (h.values, h.provenance)
+                except NotApplicable as exc:
+                    outcome = exc.reason
+                lines.append(repr((q, m, spec.sets, keys, outcome)))
+    assert seen == {
+        "T3:Table2",
+        "T3:Table3",
+        "T4:Table4",
+        "A-Table8",
+        "A-Table9",
+        "A-Table10",
+        "A-Table11",
+    }
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == _TRIPLE_DISPATCH_SHA256
 
 
 # ---- values against the search -------------------------------------------
