@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 from time import perf_counter
 
-from .code import build_code, ghw_prop1, hierarchy_prop1
+from .code import _ghw_from_context, _search_context, hierarchy_prop1
 from .config import DEFAULT_MAX_ENUM, ResourceCapError
 from .field import Field, field_new
 from .formulas import NotApplicable, hierarchy_formula
@@ -102,9 +102,9 @@ def cmd_params(args) -> int:
     except NotApplicable as exc:
         if args.verbose:
             print(f"note: no closed form ({exc.reason}); searching", file=sys.stderr)
-        value, _ = ghw_prop1(field, spec, 1, threads=args.threads, max_enum=args.max_enum)
-        code = build_code(field, spec, max_enum=args.max_enum)
-        n, k, d1 = code.n, code.k, value
+        ctx = _search_context(field, spec, args.max_enum)
+        d1, _ = _ghw_from_context(ctx, 1, args.threads)
+        n, k = ctx.n, ctx.k
         method = "prop1-search"
     elapsed = int(round((perf_counter() - start) * 1000))
     if args.format == "json":

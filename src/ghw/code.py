@@ -18,19 +18,31 @@ since |H-perp| = q^(m-r) splits between the union and its complement.
 The search therefore scans whichever of the two sides is smaller, and
 never constructs H-perp itself: v lies in H-perp exactly when B v = 0
 for the basis matrix B of H, which batches into integer matmuls.
+
+Each rank is scanned in canonical order, one chunk of at most ``_CHUNK``
+candidate bases at a time, each chunk built on demand and scored into
+buffers allocated once per rank (and thread).  A chunk reduces to its
+best value and a copy of its first optimal basis, so nothing of the rank
+outlives the scan, and the scan stops at the first chunk that reaches the
+bound.  With threads, at most 2 x threads chunks are in flight and they
+are absorbed in order, which gives the serial result and witness.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
+from itertools import islice
 
 import numpy as np
 
 from .config import check_cap
 from .field import Field, op_tables
 from .linalg import (
+    _CHUNK,
     Subspace,
     gaussian_binomial,
     subspace_bases_array,
@@ -43,9 +55,6 @@ from .simplicial import (
     k_space,
     member_codes,
 )
-
-_CHUNK = 4096
-
 
 @dataclass(eq=False)
 class LinearCode:
@@ -150,10 +159,16 @@ def _matmul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _orthogonal_counts(field: Field, bases: np.ndarray, vectors: np.ndarray):
-    """For each candidate basis B in the stack, count vectors v with Bv = 0."""
+def _orthogonal_counts(field: Field, bases: np.ndarray, vectors: np.ndarray, out=None):
+    """For each candidate basis B in the stack, count vectors v with Bv = 0.
+
+    ``out`` is an optional int64 scratch array of shape (rows, r, t) with
+    rows >= len(bases) and t = len(vectors); the prime-field path writes
+    its products there instead of into fresh memory.
+    """
     if field.e == 1:
-        prods = (bases @ vectors.T) % field.p
+        prods = np.matmul(bases, vectors.T, out=None if out is None else out[: len(bases)])
+        np.remainder(prods, field.p, out=prods)
     else:
         add, mul = op_tables(field)
         c, r, m = bases.shape
@@ -166,7 +181,7 @@ def _orthogonal_counts(field: Field, bases: np.ndarray, vectors: np.ndarray):
     return zeros.sum(axis=1)
 
 
-def _valid_mask(field: Field, bases: np.ndarray, kernel_vectors: np.ndarray):
+def _valid_mask(field: Field, bases: np.ndarray, kernel_vectors: np.ndarray, out=None):
     """True where the candidate meets the kernel only in zero.
 
     A vector sits in the row space of an RREF basis exactly when the
@@ -174,6 +189,10 @@ def _valid_mask(field: Field, bases: np.ndarray, kernel_vectors: np.ndarray):
     reconstruction per (candidate, kernel vector) pair settles the mask.
     Pivot columns are recovered per candidate as the first nonzero entry
     of each basis row, which RREF guarantees is a leading one.
+
+    ``out`` is an optional int64 scratch array of shape (rows, t, m) with
+    rows >= len(bases) and t = len(kernel_vectors); the prime-field path
+    writes its reconstructions there.
     """
     c, r, m = bases.shape
     if kernel_vectors.shape[0] == 0:
@@ -183,7 +202,8 @@ def _valid_mask(field: Field, bases: np.ndarray, kernel_vectors: np.ndarray):
     coeffs = kernel_vectors[:, pivcols]  # (t, c, r)
     coeffs = np.transpose(coeffs, (1, 0, 2))  # (c, t, r)
     if field.e == 1:
-        recon = np.einsum("ctr,crm->ctm", coeffs, bases) % field.p
+        recon = np.matmul(coeffs, bases, out=None if out is None else out[:c])
+        np.remainder(recon, field.p, out=recon)
     else:
         add, mul = op_tables(field)
         recon = np.zeros((c, t, m), dtype=np.int64)
@@ -192,6 +212,18 @@ def _valid_mask(field: Field, bases: np.ndarray, kernel_vectors: np.ndarray):
             recon = add[recon, term]
     inside = np.all(recon == kernel_vectors[None, :, :], axis=2)  # (c, t)
     return ~inside.any(axis=1)
+
+
+def _scratch(ctx: _SearchContext, rows: int, r: int):
+    """Scoring buffers (products, reconstructions) for chunks of up to
+    ``rows`` rank-r candidates.  Extension fields get none: their op-table
+    gathers allocate on every step anyway."""
+    if ctx.field.e > 1:
+        return None, None
+    return (
+        np.empty((rows, r, len(ctx.small)), dtype=np.int64),
+        np.empty((rows, len(ctx.kernel_vectors), ctx.spec.m), dtype=np.int64),
+    )
 
 
 def _search_context(field: Field, spec: ComplexSpec, max_enum=None) -> _SearchContext:
@@ -220,58 +252,67 @@ def _search_context(field: Field, spec: ComplexSpec, max_enum=None) -> _SearchCo
 
 
 def _search(ctx: _SearchContext, r: int, threads: int = 1):
-    """Best f over valid candidates: (value, index of first optimum)."""
+    """Best f over valid candidates: (value, first basis in canonical order
+    attaining it, as an (r, m) array)."""
     field, spec = ctx.field, ctx.spec
     q, m = field.q, spec.m
     total = gaussian_binomial(m, r, q)
     check_cap(total, ctx.max_enum, what=f"{r}-dim subspaces of dimension-{m} space")
-    bases = subspace_bases_array(q, m, r)
     per_h = q ** (m - r)
     maximize = not spec.complement
     # the zero vector always lands in the union side, never the complement
     bound = per_h if maximize else 1
+    local = threading.local()
 
-    def score(chunk):
-        counts = _orthogonal_counts(field, chunk, ctx.small)
+    def score(start):
+        """(best f, a copy of the first basis attaining it) over the valid
+        candidates of the chunk at start, or None when none is valid."""
+        chunk = subspace_bases_array(q, m, r, start, min(start + _CHUNK, total))
+        if not hasattr(local, "prods"):  # once per rank and thread
+            local.prods, local.recon = _scratch(ctx, min(_CHUNK, total), r)
+        counts = _orthogonal_counts(field, chunk, ctx.small, out=local.prods)
         f = counts if ctx.small_is_union else per_h - counts
-        valid = _valid_mask(field, chunk, ctx.kernel_vectors)
-        return f, valid
-
-    best = None
-    best_idx = None
-
-    def absorb(f, valid, offset):
-        nonlocal best, best_idx
+        valid = _valid_mask(field, chunk, ctx.kernel_vectors, out=local.recon)
         if not valid.any():
-            return False
+            return None
         vals = f[valid]
-        idxs = np.flatnonzero(valid)
         pos = int(np.argmax(vals)) if maximize else int(np.argmin(vals))
-        cand = int(vals[pos])
-        better = best is None or (cand > best if maximize else cand < best)
-        if better:
-            best = cand
-            best_idx = offset + int(idxs[pos])
+        return int(vals[pos]), chunk[np.flatnonzero(valid)[pos]].copy()
+
+    best = witness = None
+
+    def absorb(found):
+        nonlocal best, witness
+        if found is not None and (
+            best is None or (found[0] > best if maximize else found[0] < best)
+        ):
+            best, witness = found
         return best == bound
 
-    starts = range(0, total, _CHUNK)
+    starts = iter(range(0, total, _CHUNK))
     if threads <= 1:
         for s in starts:
-            f, valid = score(bases[s : s + _CHUNK])
-            if absorb(f, valid, s):
+            if absorb(score(s)):
                 break
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [(s, pool.submit(score, bases[s : s + _CHUNK])) for s in starts]
-            for s, fut in futures:  # fixed order keeps the result thread-safe
-                f, valid = fut.result()
-                if absorb(f, valid, s):
+            # at most 2 x threads chunks in flight, absorbed in submission
+            # order: the result matches the serial scan, and an early exit
+            # leaves little work behind
+            window = deque(pool.submit(score, s) for s in islice(starts, 2 * threads))
+            while window:
+                if absorb(window.popleft().result()):
+                    for fut in window:
+                        fut.cancel()
                     break
+                s = next(starts, None)
+                if s is not None:
+                    window.append(pool.submit(score, s))
     if best is None:
         raise ValueError(
             f"no {r}-dim subspace avoids the kernel; r exceeds the dimension {ctx.k}"
         )
-    return best, best_idx
+    return best, witness
 
 
 def ghw_prop1(field: Field, spec: ComplexSpec, r: int, threads: int = 1, max_enum=None):
@@ -287,15 +328,13 @@ def ghw_prop1(field: Field, spec: ComplexSpec, r: int, threads: int = 1, max_enu
 def _ghw_from_context(ctx: _SearchContext, r: int, threads: int = 1):
     if not 1 <= r <= ctx.k:
         raise ValueError(f"r must lie in 1..{ctx.k}, got {r}")
-    best, best_idx = _search(ctx, r, threads)
+    best, basis = _search(ctx, r, threads)
     q, m = ctx.field.q, ctx.spec.m
     if ctx.spec.complement:
         value = ctx.n - q ** (m - r) + best
     else:
         value = ctx.n - best
-    bases = subspace_bases_array(q, m, r)
-    rows = [tuple(int(x) for x in row) for row in bases[best_idx]]
-    witness = subspace_from_vectors(ctx.field, rows, m)
+    witness = subspace_from_vectors(ctx.field, basis.tolist(), m)
     return value, witness
 
 

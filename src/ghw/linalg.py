@@ -9,10 +9,16 @@ Enumeration order matters for reproducibility: subspaces stream in
 free entries filled row major with the earliest cell most significant.
 The count per pivot set is a power of q and the total is the Gaussian
 binomial, which doubles as a cheap cross-check.
+
+Bases are never built a whole rank at once.  A small per-(q, m, r) layout
+records where each pivot set starts in that order, so any range of basis
+numbers can be filled directly; every caller walks a rank in ranges of at
+most ``_CHUNK`` rows, and only the most recent few ranges stay cached.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -21,6 +27,10 @@ import numpy as np
 
 from .config import check_cap
 from .field import Field
+
+# rows per candidate range: every walk over a rank's bases (search, oracle,
+# enumeration) asks for ranges of at most this many, which bounds their memory
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -148,38 +158,60 @@ def gaussian_binomial(m: int, r: int, q: int) -> int:
     return count
 
 
-@lru_cache(maxsize=32)
-def subspace_bases_array(q: int, m: int, r: int):
-    """All canonical r-by-m RREF bases over GF(q) as one int64 array.
+@lru_cache(maxsize=64)
+def _bases_layout(q: int, m: int, r: int):
+    """Where each pivot set sits in the canonical order of r-by-m bases.
 
-    Shape (N, r, m) with N the Gaussian binomial.  Entries are element
-    codes; the construction is purely combinatorial so it serves prime
-    and extension fields alike.  The array is frozen and shared, callers
-    must not write to it.
+    Returns (firsts, blocks): firsts[i] is the index of the first basis
+    with the i-th pivot set and the last entry is the total count; blocks[i]
+    is (pivots, free cells), the free cells row major.
     """
-    total = gaussian_binomial(m, r, q)
-    out = np.zeros((total, r, m), dtype=np.int64)
-    pos = 0
+    firsts = [0]
+    blocks = []
     for pivots in combinations(range(m), r):
         pivset = set(pivots)
-        free = [
+        free = tuple(
             (i, j)
             for i in range(r)
             for j in range(pivots[i] + 1, m)
             if j not in pivset
-        ]
-        nfree = len(free)
-        count = q**nfree
-        block = np.zeros((count, r, m), dtype=np.int64)
+        )
+        blocks.append((pivots, free))
+        firsts.append(firsts[-1] + q ** len(free))
+    assert firsts[-1] == gaussian_binomial(m, r, q)
+    return tuple(firsts), tuple(blocks)
+
+
+@lru_cache(maxsize=16)
+def subspace_bases_array(q: int, m: int, r: int, start: int, stop: int):
+    """Canonical r-by-m RREF bases number start..stop-1 over GF(q).
+
+    Shape (stop - start, r, m), int64.  Entries are element codes; the
+    construction is purely combinatorial so it serves prime and extension
+    fields alike.  Callers walk a rank in ranges of at most ``_CHUNK``
+    rows, so the memory held here is bounded by the chunk, never by the
+    Gaussian binomial.  The array is frozen and shared, callers must not
+    write to it.
+    """
+    firsts, blocks = _bases_layout(q, m, r)
+    if not 0 <= start <= stop <= firsts[-1]:
+        raise ValueError(f"range {start}..{stop} outside 0..{firsts[-1]}")
+    out = np.zeros((stop - start, r, m), dtype=np.int64)
+    block = bisect_right(firsts, start) - 1
+    pos = start
+    while pos < stop:
+        first = firsts[block]
+        end = min(stop, firsts[block + 1])
+        rows = out[pos - start : end - start]
+        pivots, free = blocks[block]
         for i, p in enumerate(pivots):
-            block[:, i, p] = 1
-        if nfree:
-            codes = np.arange(count, dtype=np.int64)
+            rows[:, i, p] = 1
+        if free:
+            codes = np.arange(pos - first, end - first, dtype=np.int64)
             for idx, (i, j) in enumerate(free):
-                block[:, i, j] = (codes // q ** (nfree - 1 - idx)) % q
-        out[pos : pos + count] = block
-        pos += count
-    assert pos == total
+                rows[:, i, j] = (codes // q ** (len(free) - 1 - idx)) % q
+        pos = end
+        block += 1
     out.setflags(write=False)
     return out
 
@@ -191,8 +223,8 @@ def enumerate_subspaces(field: Field, m: int, r: int, max_enum=None):
     """
     total = gaussian_binomial(m, r, field.q)
     check_cap(total, max_enum, what=f"{r}-dim subspaces of dimension-{m} space")
-    bases = subspace_bases_array(field.q, m, r)
-    for block in bases:
-        basis = tuple(tuple(int(x) for x in row) for row in block)
-        pivots = tuple(next(j for j, x in enumerate(row) if x != 0) for row in basis)
-        yield Subspace(ambient=m, dim=r, basis=basis, pivots=pivots)
+    for s in range(0, total, _CHUNK):
+        for block in subspace_bases_array(field.q, m, r, s, min(s + _CHUNK, total)):
+            basis = tuple(tuple(int(x) for x in row) for row in block)
+            pivots = tuple(next(j for j, x in enumerate(row) if x != 0) for row in basis)
+            yield Subspace(ambient=m, dim=r, basis=basis, pivots=pivots)

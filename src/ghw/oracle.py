@@ -20,10 +20,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .code import _CHUNK, LinearCode, WeightHierarchy, _matmul
+from .code import LinearCode, WeightHierarchy, _matmul
 from .config import check_cap
 from .field import Field
 from .linalg import (
+    _CHUNK,
     Subspace,
     gaussian_binomial,
     rref,
@@ -44,10 +45,9 @@ def ghw_definitional(code: LinearCode, r: int, max_enum=None) -> int:
     gen = np.asarray(reduced, dtype=np.int64)  # (k, n)
     total = gaussian_binomial(code.k, r, field.q)
     check_cap(total, max_enum, what=f"{r}-dim subcodes")
-    bases = subspace_bases_array(field.q, code.k, r)
     best = None
     for s in range(0, total, _CHUNK):
-        chunk = bases[s : s + _CHUNK]
+        chunk = subspace_bases_array(field.q, code.k, r, s, min(s + _CHUNK, total))
         words = _matmul(field, chunk, gen)  # (c, r, n)
         supports = np.any(words != 0, axis=1).sum(axis=1)
         low = int(supports.min())
@@ -81,9 +81,11 @@ def _subspaces_by_dim(q: int, s: int):
     weights = q ** np.arange(s - 1, -1, -1, dtype=np.int64)
     for r in range(1, s + 1):
         coeffs = codes_to_matrix(range(1, q**r), q, r)  # (q^r - 1, r)
-        for block in subspace_bases_array(q, s, r):
-            vecs = (coeffs @ block) % q
-            out.append((r, frozenset(int(c) for c in vecs @ weights)))
+        total = gaussian_binomial(s, r, q)
+        for start in range(0, total, _CHUNK):
+            for block in subspace_bases_array(q, s, r, start, min(start + _CHUNK, total)):
+                vecs = (coeffs @ block) % q
+                out.append((r, frozenset(int(c) for c in vecs @ weights)))
     return tuple(out)
 
 

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import re
 
 import pytest
 
@@ -151,6 +152,25 @@ def test_params_falls_back_to_search(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["method"] == "prop1-search"
     assert (payload["n"], payload["k"], payload["d1"]) == (4, 2, 2)
+
+
+def test_params_search_takes_n_and_k_from_the_search(capsys, monkeypatch):
+    """No table claims four overlapping generators, so params searches; n
+    and k come from that search, not from building the code."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("params built the code")
+
+    monkeypatch.setattr("ghw.code.build_code", refuse)
+    monkeypatch.setattr(cli, "build_code", refuse, raising=False)
+    argv = ["params", "--q", "2", "--m", "8", "--sets", "1,2,3;3,4,5;5,6,7;1,7,8"]
+    assert cli.main(argv + ["--format", "json"]) == 0
+    out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', capsys.readouterr().out)
+    assert out == (
+        '{"q": 2, "e": 1, "m": 8, "sets": [[1, 2, 3], [1, 7, 8], [3, 4, 5], '
+        '[5, 6, 7]], "complement": false, "n": 25, "k": 8, "d1": 4, '
+        '"method": "prop1-search", "elapsed_ms": 0}\n'
+    )
 
 
 def test_count_subspaces_json(capsys):

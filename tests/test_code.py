@@ -1,11 +1,21 @@
+import gc
 import random
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from ghw.code import WeightHierarchy, build_code, ghw_prop1, hierarchy_prop1
+from ghw.code import (
+    WeightHierarchy,
+    _orthogonal_counts,
+    build_code,
+    ghw_prop1,
+    hierarchy_prop1,
+)
 from ghw.config import ResourceCapError
 from ghw.field import field_new
+from ghw.linalg import _CHUNK, subspace_bases_array
 from ghw.oracle import hierarchy_definitional
 from ghw.simplicial import cardinality, normalize
 
@@ -130,3 +140,46 @@ def test_rank_bounds_are_enforced():
         ghw_prop1(F2, spec, 3)
     with pytest.raises(ValueError):
         ghw_prop1(F2, spec, 0)
+
+
+def test_threaded_search_keeps_a_bounded_window(monkeypatch):
+    """Past an early exit, at most 2 x threads chunks per rank are scored
+    beyond the serial scan, and the result is the serial one."""
+    spec = normalize(8, [[1, 2, 3, 4], [4, 5, 6, 7, 8]], False)
+
+    def run(threads):
+        chunks = Counter()  # chunks scored per rank
+
+        def counting(field, bases, *args, **kwargs):
+            chunks[bases.shape[1]] += 1
+            return _orthogonal_counts(field, bases, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr("ghw.code._orthogonal_counts", counting)
+            return hierarchy_prop1(F2, spec, threads=threads), chunks
+
+    serial, serial_chunks = run(1)
+    threaded, threaded_chunks = run(2)
+    assert threaded.values == serial.values
+    assert threaded.witnesses == serial.witnesses
+    for r, count in threaded_chunks.items():
+        assert count <= serial_chunks[r] + 2 * 2, (r, serial_chunks, threaded_chunks)
+
+
+def test_search_memory_is_bounded_by_the_chunk():
+    """No candidate array outlives the search: after it, only the chunk
+    cache is still held, and the peak stays near that size (a whole-rank
+    array here would peak above 100 MB)."""
+    spec = normalize(8, [[1, 2, 3], [3, 4, 5]], False)  # k = 5, no early exit
+    subspace_bases_array.cache_clear()
+    cache_bytes = subspace_bases_array.cache_info().maxsize * _CHUNK * 5 * 8 * 8
+    tracemalloc.start()
+    try:
+        assert hierarchy_prop1(F2, spec).values == (4, 6, 10, 12, 13)
+        _, peak = tracemalloc.get_traced_memory()
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < cache_bytes + 4 * 2**20, held
+    assert peak < 40 * 2**20, peak

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -164,10 +165,37 @@ def test_enumeration_respects_cap():
         list(enumerate_subspaces(F2, 5, 2, max_enum=10))
 
 
-def test_bases_array_is_cached_and_frozen():
-    a = subspace_bases_array(2, 4, 2)
-    b = subspace_bases_array(2, 4, 2)
-    assert a is b
+def test_bases_array_bytes_are_pinned():
+    """Every full range for q <= 5 and small m, hashed against the digest
+    taken when ranks were still built as one array."""
+    digest = hashlib.sha256()
+    for q in (2, 3, 4, 5):
+        for m in range(0, 7 if q <= 3 else 5):
+            for r in range(m + 1):
+                digest.update(f"{q},{m},{r}".encode())
+                bases = subspace_bases_array(q, m, r, 0, gaussian_binomial(m, r, q))
+                assert bases.dtype == np.int64
+                digest.update(np.ascontiguousarray(bases).tobytes())
+    assert digest.hexdigest() == (
+        "66ec44419de34184e491170a6ac52cf929e06d933d96f1caf0272503c49bb4b3"
+    )
+
+
+def test_bases_array_ranges_split_and_are_frozen():
+    rng = random.Random(5)
+    for q, m, r in ((2, 6, 3), (3, 5, 2), (4, 4, 2), (3, 3, 0), (2, 5, 5)):
+        total = gaussian_binomial(m, r, q)
+        whole = subspace_bases_array(q, m, r, 0, total)
+        cuts = sorted(rng.randrange(total + 1) for _ in range(6))
+        pieces = [
+            subspace_bases_array(q, m, r, a, b)
+            for a, b in zip([0] + cuts, cuts + [total])
+        ]
+        assert np.array_equal(np.concatenate(pieces), whole)
+        for piece in pieces:
+            assert piece.shape[1:] == (r, m)
+            if piece.size:
+                with pytest.raises(ValueError):
+                    piece[0, 0, 0] = 1
     with pytest.raises(ValueError):
-        a[0, 0, 0] = 1
-    assert a.dtype == np.int64
+        subspace_bases_array(2, 4, 2, 0, gaussian_binomial(4, 2, 2) + 1)
