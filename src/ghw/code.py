@@ -17,7 +17,11 @@ reduce to counting f(H) = |U meet H-perp|:
 since |H-perp| = q^(m-r) splits between the union and its complement.
 The search therefore scans whichever of the two sides is smaller, and
 never constructs H-perp itself: v lies in H-perp exactly when B v = 0
-for the basis matrix B of H, which batches into integer matmuls.
+for the basis matrix B of H, which batches into integer matmuls.  Every
+field takes the same path: entries become their F_p digits, the right
+operand its block expansion over F_p (see field.py), and B v = 0 is
+checked one output digit at a time, so a prime field is the case of a
+single digit.
 
 Each rank is scanned in canonical order, one chunk of at most ``_CHUNK``
 candidate bases at a time, each chunk built on demand and scored into
@@ -40,7 +44,7 @@ from itertools import islice
 import numpy as np
 
 from .config import check_cap
-from .field import Field, op_tables
+from .field import Field, fp_matrix, matmul, to_digits
 from .linalg import (
     _CHUNK,
     Subspace,
@@ -144,41 +148,27 @@ def _nonzero_span_vectors(field: Field, sub: Subspace, max_enum=None) -> np.ndar
     check_cap(q**sub.dim, max_enum, what="kernel vectors")
     coeffs = codes_to_matrix(range(1, q**sub.dim), q, sub.dim)
     basis = np.asarray(sub.basis, dtype=np.int64)
-    return _matmul(field, coeffs, basis)
-
-
-def _matmul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b in the field; a is (..., s), b is (s, t)."""
-    if field.e == 1:
-        return (a @ b) % field.p
-    add, mul = op_tables(field)
-    acc = np.zeros(a.shape[:-1] + (b.shape[1],), dtype=np.int64)
-    for j in range(a.shape[-1]):
-        term = mul[a[..., j, None], b[None, j, :]]
-        acc = add[acc, term]
-    return acc
+    return matmul(field, coeffs, basis)
 
 
 def _orthogonal_counts(field: Field, bases: np.ndarray, vectors: np.ndarray, out=None):
     """For each candidate basis B in the stack, count vectors v with Bv = 0.
 
-    ``out`` is an optional int64 scratch array of shape (rows, r, t) with
-    rows >= len(bases) and t = len(vectors); the prime-field path writes
-    its products there instead of into fresh memory.
+    Bv vanishes exactly when every F_p digit of it does, so the product is
+    taken one output digit at a time.  ``out`` is an optional int64 scratch
+    array of shape (rows, r, t) with rows >= len(bases) and t = len(vectors);
+    each digit's products are written there instead of into fresh memory.
     """
-    if field.e == 1:
-        prods = np.matmul(bases, vectors.T, out=None if out is None else out[: len(bases)])
+    c, t = len(bases), len(vectors)
+    left = to_digits(field, bases)
+    right = fp_matrix(field, vectors.T)
+    out = None if out is None else out[:c]
+    for d in range(field.e):
+        prods = np.matmul(left, right[:, d * t : (d + 1) * t], out=out)
         np.remainder(prods, field.p, out=prods)
-    else:
-        add, mul = op_tables(field)
-        c, r, m = bases.shape
-        acc = np.zeros((c, r, vectors.shape[0]), dtype=np.int64)
-        for j in range(m):
-            term = mul[bases[:, :, j, None], vectors[None, None, :, j]]
-            acc = add[acc, term]
-        prods = acc
-    zeros = ~np.any(prods, axis=1)
-    return zeros.sum(axis=1)
+        hit = np.any(prods, axis=1)
+        nonzero = hit if d == 0 else nonzero | hit
+    return t - nonzero.sum(axis=1)
 
 
 def _valid_mask(field: Field, bases: np.ndarray, kernel_vectors: np.ndarray, out=None):
@@ -186,40 +176,37 @@ def _valid_mask(field: Field, bases: np.ndarray, kernel_vectors: np.ndarray, out
 
     A vector sits in the row space of an RREF basis exactly when the
     combination read off at the pivot columns reproduces it, so one
-    reconstruction per (candidate, kernel vector) pair settles the mask.
-    Pivot columns are recovered per candidate as the first nonzero entry
-    of each basis row, which RREF guarantees is a leading one.
+    reconstruction per (candidate, kernel vector) pair settles the mask,
+    compared one F_p digit at a time.  Pivot columns are recovered per
+    candidate as the first nonzero entry of each basis row, which RREF
+    guarantees is a leading one.
 
     ``out`` is an optional int64 scratch array of shape (rows, t, m) with
-    rows >= len(bases) and t = len(kernel_vectors); the prime-field path
-    writes its reconstructions there.
+    rows >= len(bases) and t = len(kernel_vectors); each digit's
+    reconstructions are written there.
     """
-    c, r, m = bases.shape
+    c, _, m = bases.shape
     if kernel_vectors.shape[0] == 0:
         return np.ones(c, dtype=bool)
     pivcols = np.argmax(bases != 0, axis=2)  # (c, r)
     t = kernel_vectors.shape[0]
     coeffs = kernel_vectors[:, pivcols]  # (t, c, r)
     coeffs = np.transpose(coeffs, (1, 0, 2))  # (c, t, r)
-    if field.e == 1:
-        recon = np.matmul(coeffs, bases, out=None if out is None else out[:c])
+    left = to_digits(field, coeffs)
+    right = fp_matrix(field, bases)
+    target = to_digits(field, kernel_vectors).reshape(t, m, field.e)
+    out = None if out is None else out[:c]
+    for d in range(field.e):
+        recon = np.matmul(left, right[..., d * m : (d + 1) * m], out=out)
         np.remainder(recon, field.p, out=recon)
-    else:
-        add, mul = op_tables(field)
-        recon = np.zeros((c, t, m), dtype=np.int64)
-        for i in range(r):
-            term = mul[coeffs[:, :, i, None], bases[:, None, i, :]]
-            recon = add[recon, term]
-    inside = np.all(recon == kernel_vectors[None, :, :], axis=2)  # (c, t)
+        same = np.all(recon == target[None, :, :, d], axis=2)  # (c, t)
+        inside = same if d == 0 else inside & same
     return ~inside.any(axis=1)
 
 
 def _scratch(ctx: _SearchContext, rows: int, r: int):
     """Scoring buffers (products, reconstructions) for chunks of up to
-    ``rows`` rank-r candidates.  Extension fields get none: their op-table
-    gathers allocate on every step anyway."""
-    if ctx.field.e > 1:
-        return None, None
+    ``rows`` rank-r candidates, each holding one F_p digit at a time."""
     return (
         np.empty((rows, r, len(ctx.small)), dtype=np.int64),
         np.empty((rows, len(ctx.kernel_vectors), ctx.spec.m), dtype=np.int64),

@@ -10,12 +10,23 @@ polynomial of degree e over F_p, comparing coefficient tuples from the
 constant term upward, so element encodings are reproducible across runs.
 GF(4) gets x^2 + x + 1.  For e = 1 the modulus is the degree-1 polynomial
 x, under which "residue polynomial" degenerates to the residue mod p.
+
+The vector routines of the search and the oracle share one arithmetic
+path for every q.  An element is its e digits over F_p, and multiplying
+by a fixed element is its e-by-e matrix over F_p (the regular
+representation), so a product of code matrices over GF(q) is one integer
+matmul of digits against the block-expanded right operand, reduced mod p.
+The digits and matrices of all q elements come from one cached table
+pair; for e = 1 the digits are the codes and the expansion is the matrix
+itself.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+
+import numpy as np
 
 from .config import Q_CAP
 
@@ -197,22 +208,63 @@ def field_new(p: int, e: int = 1) -> Field:
 
 @lru_cache(maxsize=16)
 def _op_tables(p: int, e: int):
-    """(add, mul) tables as q-by-q uint16 arrays, for vectorized extension
-    field linear algebra.  Lazily built; prime fields never need them."""
-    import numpy as np
+    """(digits, mats) of GF(p^e), the only arithmetic the vector code uses.
 
-    f = Field(p, e)
-    q = f.q
-    add = np.empty((q, q), dtype=np.uint16)
-    mul = np.empty((q, q), dtype=np.uint16)
-    for a in range(q):
-        for b in range(q):
-            add[a, b] = f.add(a, b)
-            mul[a, b] = f.mul(a, b)
-    add.setflags(write=False)
-    mul.setflags(write=False)
-    return add, mul
+    digits is (q, e): the base-p digits of every code, constant first.
+    mats is (q, e, e): mats[a] is the F_p matrix of x -> a x, so that
+    mats[a] @ digits[b] % p == digits[a b].  Its column j holds the digits
+    of a x^j, each column the previous one shifted up a degree and reduced
+    by the modulus, for all q codes at once.  Both are frozen and shared.
+    """
+    q = p**e
+    digits = (np.arange(q, dtype=np.int64)[:, None] // p ** np.arange(e)) % p
+    low = -np.asarray(smallest_irreducible(p, e)[:e], dtype=np.int64) % p
+    mats = np.empty((q, e, e), dtype=np.int64)
+    mats[:, :, 0] = digits
+    for j in range(1, e):
+        prev = mats[:, :, j - 1]
+        shifted = np.roll(prev, 1, axis=1)  # times x; the top digit wraps
+        shifted[:, 0] = 0
+        mats[:, :, j] = (shifted + prev[:, -1:] * low) % p  # x^e = sum low[i] x^i
+    digits.setflags(write=False)
+    mats.setflags(write=False)
+    return digits, mats
 
 
-def op_tables(field: Field):
-    return _op_tables(field.p, field.e)
+def to_digits(field: Field, a: np.ndarray) -> np.ndarray:
+    """(..., s) codes as (..., s e) F_p digits, entry j's digit i at j e + i.
+
+    Over a prime field the digits are the codes themselves.
+    """
+    if field.e == 1:
+        return a
+    digits, _ = _op_tables(field.p, field.e)
+    return digits[a].reshape(a.shape[:-1] + (a.shape[-1] * field.e,))
+
+
+def fp_matrix(field: Field, b: np.ndarray) -> np.ndarray:
+    """(..., s, t) codes as the (..., s e, e t) F_p matrix of x -> x b.
+
+    to_digits(x) @ fp_matrix(b) % p holds the digits of x b digit major:
+    digit d of column l sits at d t + l, so each digit is one contiguous
+    block of t columns.  Block (j, l) is mats[b[j, l]] transposed.  The
+    result is the transpose of a C-ordered array, the layout numpy's
+    integer matmul reads fastest as a right operand.
+    """
+    if field.e == 1:
+        return b
+    e = field.e
+    _, mats = _op_tables(field.p, e)
+    s, t = b.shape[-2:]
+    blocks = mats[np.swapaxes(b, -1, -2)]  # (..., l, j, d, i)
+    blocks = np.moveaxis(blocks, -2, -4)  # (..., d, l, j, i)
+    return blocks.reshape(b.shape[:-2] + (e * t, s * e)).swapaxes(-1, -2)
+
+
+def matmul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over GF(q) on codes; a is (..., s), b is (s, t)."""
+    prods = to_digits(field, a) @ fp_matrix(field, b)
+    prods %= field.p
+    t = b.shape[1]
+    weights = field.p ** np.arange(field.e, dtype=np.int64)
+    return weights @ prods.reshape(prods.shape[:-1] + (field.e, t))

@@ -6,6 +6,10 @@ a full-rank generator, and the support is counted column by column.  No
 duality, no counting identities, no shortcuts besides batching the
 matrix products.  Deliberately boring, so it can sit on the other side
 of an equality check from the closed forms and the subspace search.
+Products run on F_p digits (see field.py), and an entry is nonzero when
+any of its digits is, so supports are read off the digits directly.
+Subcodes are taken in chunks sized by bytes, so the memory of a chunk
+does not grow with the code length.
 
 The avoidance oracle answers the same question as the paired-extension
 construction: the largest dimension of a subspace meeting each of the
@@ -20,9 +24,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .code import LinearCode, WeightHierarchy, _matmul
+from .code import LinearCode, WeightHierarchy
 from .config import check_cap
-from .field import Field
+from .field import Field, fp_matrix, matmul, to_digits
 from .linalg import (
     _CHUNK,
     Subspace,
@@ -33,6 +37,10 @@ from .linalg import (
 )
 from .simplicial import codes_to_matrix
 
+# bytes of one chunk of codeword digits in the weight oracle, which sizes
+# its rows by the code length instead of holding _CHUNK rows of any width
+_CHUNK_BYTES = 16 * 2**20
+
 
 def ghw_definitional(code: LinearCode, r: int, max_enum=None) -> int:
     """Smallest support size over all r-dimensional subcodes."""
@@ -42,14 +50,18 @@ def ghw_definitional(code: LinearCode, r: int, max_enum=None) -> int:
     rows = [tuple(int(x) for x in row) for row in code.generator]
     reduced, rank, _ = rref(field, rows)
     assert rank == code.k
-    gen = np.asarray(reduced, dtype=np.int64)  # (k, n)
+    gen = fp_matrix(field, np.asarray(reduced, dtype=np.int64))  # (k e, e n)
     total = gaussian_binomial(code.k, r, field.q)
     check_cap(total, max_enum, what=f"{r}-dim subcodes")
+    step = max(1, min(_CHUNK, _CHUNK_BYTES // (r * field.e * code.n * 8)))
     best = None
-    for s in range(0, total, _CHUNK):
-        chunk = subspace_bases_array(field.q, code.k, r, s, min(s + _CHUNK, total))
-        words = _matmul(field, chunk, gen)  # (c, r, n)
-        supports = np.any(words != 0, axis=1).sum(axis=1)
+    for s in range(0, total, step):
+        chunk = subspace_bases_array(field.q, code.k, r, s, min(s + step, total))
+        words = to_digits(field, chunk) @ gen  # (c, r, e n) codeword digits
+        words %= field.p
+        # digit major: a column is in the support when any row has any
+        # nonzero digit there
+        supports = np.any(words.reshape(len(chunk), -1, code.n), axis=1).sum(axis=1)
         low = int(supports.min())
         if best is None or low < best:
             best = low
@@ -97,7 +109,7 @@ def _span_codes(field: Field, sub: Subspace, pivots, s: int):
         return frozenset()
     coeffs = codes_to_matrix(range(1, q**sub.dim), q, sub.dim)
     basis = np.asarray(sub.basis, dtype=np.int64)
-    vecs = _matmul(field, coeffs, basis)  # (q^dim - 1, ambient)
+    vecs = matmul(field, coeffs, basis)  # (q^dim - 1, ambient)
     coords = vecs[:, list(pivots)]  # coefficients against the sum space basis
     weights = q ** np.arange(s - 1, -1, -1, dtype=np.int64)
     return frozenset(int(c) for c in coords @ weights)

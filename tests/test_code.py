@@ -1,7 +1,9 @@
 import gc
+import hashlib
 import random
 import tracemalloc
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -100,6 +102,51 @@ def test_search_handles_extension_fields():
     searched = hierarchy_prop1(F4, spec)
     brute = hierarchy_definitional(build_code(F4, spec))
     assert searched.values == brute.values
+
+
+# sha256 of the records below as the op-table search produced them
+_EXTENSION_WITNESS_SHA256 = "125e1dc65a73aa631f619f54cb0a6a7b1053fa51e7aa46b48911413c9dcbdea3"
+
+
+def _antichains(m):
+    """Every family of one to three pairwise incomparable nonempty subsets
+    of 1..m, sorted by (count, family)."""
+    subsets = [c for k in range(1, m + 1) for c in combinations(range(1, m + 1), k)]
+    families = [
+        family
+        for count in (1, 2, 3)
+        for family in combinations(subsets, count)
+        if not any(set(a) < set(b) for a in family for b in family)
+    ]
+    return sorted(families, key=lambda family: (len(family), family))
+
+
+def test_extension_field_witnesses_are_pinned():
+    """Values and witnesses of the search over GF(4), GF(8) and GF(9) on
+    every small antichain, both flags, hashed; the subcode enumeration
+    agrees with every value at m <= 3."""
+    digest = hashlib.sha256()
+    records = 0
+    for p, e, ms in ((2, 2, (2, 3, 4)), (2, 3, (2, 3)), (3, 2, (2, 3))):
+        field = field_new(p, e)
+        for m in ms:
+            for family in _antichains(m):
+                for complement in (False, True):
+                    spec = normalize(m, [list(s) for s in family], complement)
+                    try:
+                        h = hierarchy_prop1(field, spec)
+                    except ValueError as exc:
+                        record = (field.q, m, spec.sets, complement, "ValueError", str(exc))
+                    else:
+                        witnesses = tuple(w.basis for w in h.witnesses)
+                        record = (field.q, m, spec.sets, complement, h.values, witnesses)
+                        if m <= 3:
+                            brute = hierarchy_definitional(build_code(field, spec))
+                            assert brute.values == h.values, spec
+                    digest.update(repr(record).encode())
+                    records += 1
+    assert records == 400
+    assert digest.hexdigest() == _EXTENSION_WITNESS_SHA256
 
 
 def test_witness_attains_the_weight():

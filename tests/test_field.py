@@ -1,7 +1,18 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ghw.field import Field, field_new, is_prime, smallest_irreducible
+from ghw.field import (
+    Field,
+    _op_tables,
+    field_new,
+    is_prime,
+    matmul,
+    smallest_irreducible,
+)
+
+# every field with q <= 16, as (p, e)
+SMALL_FIELDS = [(p, e) for p in (2, 3, 5, 7, 11, 13) for e in (1, 2, 3, 4) if p**e <= 16]
 
 
 def test_is_prime_small_values():
@@ -86,3 +97,46 @@ def test_smallest_irreducible_really_is_irreducible():
             x = f.mul(x, a)
             order += 1
         assert 7 % order == 0  # nonzero elements form a group of order q - 1
+
+
+@pytest.mark.parametrize("p,e", SMALL_FIELDS)
+def test_op_tables_match_scalar_arithmetic(p, e):
+    f = field_new(p, e)
+    digits, mats = _op_tables(p, e)
+    assert digits.shape == (f.q, e) and mats.shape == (f.q, e, e)
+    for a in f.elements():
+        assert tuple(digits[a]) == f.digits(a)
+        for b in f.elements():
+            assert tuple(mats[a] @ digits[b] % p) == f.digits(f.mul(a, b))
+
+
+def test_op_tables_make_no_scalar_calls(monkeypatch):
+    """The tables of GF(2^10) come from vectorised shift-and-reduce, not
+    from 2 q^2 calls into Field."""
+
+    def refuse(*args):
+        raise AssertionError("scalar field call while building the tables")
+
+    expect = [(a, b, Field(2, 10).mul(a, b)) for a, b in ((3, 5), (1023, 1023), (512, 2))]
+    with monkeypatch.context() as patch:
+        patch.setattr(Field, "add", refuse)
+        patch.setattr(Field, "mul", refuse)
+        digits, mats = _op_tables.__wrapped__(2, 10)
+    for a, b, ab in expect:
+        assert np.array_equal(mats[a] @ digits[b] % 2, digits[ab])
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2)])
+def test_matmul_matches_scalar_sums(p, e):
+    f = field_new(p, e)
+    rng = np.random.default_rng(p * 10 + e)
+    a = rng.integers(0, f.q, (2, 3, 4))
+    b = rng.integers(0, f.q, (4, 5))
+    got = matmul(f, a, b)
+    assert got.shape == (2, 3, 5)
+    for i, j in np.ndindex(2, 3):
+        for l in range(5):
+            want = 0
+            for s in range(4):
+                want = f.add(want, f.mul(int(a[i, j, s]), int(b[s, l])))
+            assert got[i, j, l] == want

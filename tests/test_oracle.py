@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -70,6 +71,23 @@ def test_definitional_agrees_with_subspace_search():
         for r in range(1, code.k + 1):
             assert ghw_definitional(code, r) == searched.values[r - 1], spec
         cases += 1
+
+
+def test_definitional_memory_is_bounded_by_bytes():
+    """A long code gets fewer subcodes per chunk, so the codeword digits
+    of one chunk stay near the oracle's byte budget whatever n is (4096
+    rows of width 702 here would peak near 200 MB)."""
+    spec = normalize(6, [[2, 3, 4]], True)
+    code = build_code(F3, spec)
+    assert code.n == 702
+    expect = hierarchy_prop1(F3, spec).values[2]
+    tracemalloc.start()
+    try:
+        assert ghw_definitional(code, 3) == expect
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak
 
 
 def test_definitional_extension_field():
