@@ -44,21 +44,17 @@ from itertools import islice
 import numpy as np
 
 from .config import check_cap
-from .field import Field, fp_matrix, matmul, to_digits
+from .field import Field, fp_matrix, to_digits
 from .linalg import (
     _CHUNK,
     Subspace,
+    codes_to_matrix,
     gaussian_binomial,
+    span_vectors,
     subspace_bases_array,
     subspace_from_vectors,
 )
-from .simplicial import (
-    ComplexSpec,
-    cardinality,
-    codes_to_matrix,
-    k_space,
-    member_codes,
-)
+from .simplicial import ComplexSpec, cardinality, k_space, member_codes
 
 @dataclass(eq=False)
 class LinearCode:
@@ -78,7 +74,7 @@ def build_code(field: Field, spec: ComplexSpec, max_enum=None) -> LinearCode:
     if not codes:
         raise ValueError(f"defining set {spec.describe()} is empty")
     defining = codes_to_matrix(codes, field.q, spec.m)
-    kernel = k_space(spec, field, max_enum)
+    kernel = k_space(spec, field)
     k = spec.m - kernel.dim
     return LinearCode(
         field=field,
@@ -138,17 +134,6 @@ class _SearchContext:
     small_is_union: bool
     kernel_vectors: np.ndarray  # nonzero vectors of the kernel, (t, m)
     max_enum: int | None = None
-
-
-def _nonzero_span_vectors(field: Field, sub: Subspace, max_enum=None) -> np.ndarray:
-    """Every nonzero vector of a subspace, as an array of element codes."""
-    if sub.dim == 0:
-        return np.zeros((0, sub.ambient), dtype=np.int64)
-    q = field.q
-    check_cap(q**sub.dim, max_enum, what="kernel vectors")
-    coeffs = codes_to_matrix(range(1, q**sub.dim), q, sub.dim)
-    basis = np.asarray(sub.basis, dtype=np.int64)
-    return matmul(field, coeffs, basis)
 
 
 def _orthogonal_counts(field: Field, bases: np.ndarray, vectors: np.ndarray, out=None):
@@ -224,7 +209,9 @@ def _search_context(field: Field, spec: ComplexSpec, max_enum=None) -> _SearchCo
         raise ValueError(f"defining set {spec.describe()} is empty")
     small_spec = union_spec if union_size <= compl_size else compl_spec
     small = codes_to_matrix(member_codes(small_spec, q, max_enum), q, spec.m)
-    kernel = k_space(spec, field, max_enum)
+    kernel = k_space(spec, field)
+    check_cap(q**kernel.dim, max_enum, what="kernel vectors")
+    basis = np.asarray(kernel.basis, dtype=np.int64).reshape(kernel.dim, spec.m)
     return _SearchContext(
         field=field,
         spec=spec,
@@ -233,9 +220,17 @@ def _search_context(field: Field, spec: ComplexSpec, max_enum=None) -> _SearchCo
         kernel=kernel,
         small=small,
         small_is_union=not small_spec.complement,
-        kernel_vectors=_nonzero_span_vectors(field, kernel, max_enum),
+        kernel_vectors=span_vectors(field, basis),
         max_enum=max_enum,
     )
+
+
+def _rank_candidates(ctx: _SearchContext, r: int) -> int:
+    """Number of rank-r candidates, refused when it exceeds the cap."""
+    m = ctx.spec.m
+    total = gaussian_binomial(m, r, ctx.field.q)
+    check_cap(total, ctx.max_enum, what=f"{r}-dim subspaces of dimension-{m} space")
+    return total
 
 
 def _search(ctx: _SearchContext, r: int, threads: int = 1):
@@ -243,8 +238,7 @@ def _search(ctx: _SearchContext, r: int, threads: int = 1):
     attaining it, as an (r, m) array)."""
     field, spec = ctx.field, ctx.spec
     q, m = field.q, spec.m
-    total = gaussian_binomial(m, r, q)
-    check_cap(total, ctx.max_enum, what=f"{r}-dim subspaces of dimension-{m} space")
+    total = _rank_candidates(ctx, r)
     per_h = q ** (m - r)
     maximize = not spec.complement
     # the zero vector always lands in the union side, never the complement
@@ -329,8 +323,11 @@ def hierarchy_prop1(
     field: Field, spec: ComplexSpec, threads: int = 1, max_enum=None
 ) -> WeightHierarchy:
     """Full weight hierarchy by subspace search, one search per rank,
-    keeping each rank's witness."""
+    keeping each rank's witness.  Every rank's candidate count is checked
+    against the cap before the first search starts."""
     ctx = _search_context(field, spec, max_enum)
+    for r in range(1, ctx.k + 1):
+        _rank_candidates(ctx, r)
     found = [_ghw_from_context(ctx, r, threads) for r in range(1, ctx.k + 1)]
     values = tuple(value for value, _ in found)
     return WeightHierarchy(

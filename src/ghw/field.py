@@ -194,9 +194,6 @@ class Field:
             n >>= 1
         return result
 
-    def scalar_mul_vec(self, c: int, v) -> tuple:
-        return tuple(self.mul(c, x) for x in v)
-
     def add_vec(self, u, v) -> tuple:
         return tuple(self.add(a, b) for a, b in zip(u, v))
 

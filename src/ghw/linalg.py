@@ -26,7 +26,7 @@ from itertools import combinations
 import numpy as np
 
 from .config import check_cap
-from .field import Field
+from .field import Field, matmul
 
 # rows per candidate range: every walk over a rank's bases (search, oracle,
 # enumeration) asks for ranges of at most this many, which bounds their memory
@@ -44,6 +44,25 @@ class Subspace:
 
     def __iter__(self):
         return iter(self.basis)
+
+
+def codes_to_matrix(codes, q: int, m: int):
+    """Decode integer codes into an (N, m) int64 matrix of element codes."""
+    arr = np.asarray(codes, dtype=np.int64).reshape(-1, 1)
+    weights = q ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    return (arr // weights) % q
+
+
+def span_vectors(field: Field, basis) -> np.ndarray:
+    """Every nonzero combination of the rows of an (r, m) basis over GF(q).
+
+    Returns a (q^r - 1, m) int64 array of element codes, one row per
+    nonzero coefficient vector in ascending code order; for independent
+    rows that is each nonzero vector of the span once.
+    """
+    basis = np.asarray(basis, dtype=np.int64)
+    r = len(basis)
+    return matmul(field, codes_to_matrix(range(1, field.q**r), field.q, r), basis)
 
 
 def rref(field: Field, rows):

@@ -14,8 +14,8 @@ does not grow with the code length.
 The avoidance oracle answers the same question as the paired-extension
 construction: the largest dimension of a subspace meeting each of the
 given subspaces only in zero.  It enumerates every subspace of the
-ambient sum, largest dimension first, and tests disjointness on raw
-vector sets.
+ambient sum and tests disjointness on raw vector sets, spelling each
+subspace out with ``linalg.span_vectors``, so it runs over every GF(q).
 """
 
 from __future__ import annotations
@@ -26,20 +26,27 @@ import numpy as np
 
 from .code import LinearCode, WeightHierarchy
 from .config import check_cap
-from .field import Field, fp_matrix, matmul, to_digits
+from .field import Field, fp_matrix, to_digits
 from .linalg import (
     _CHUNK,
     Subspace,
     gaussian_binomial,
     rref,
+    span_vectors,
     subspace_bases_array,
     subspace_from_vectors,
 )
-from .simplicial import codes_to_matrix
 
 # bytes of one chunk of codeword digits in the weight oracle, which sizes
 # its rows by the code length instead of holding _CHUNK rows of any width
 _CHUNK_BYTES = 16 * 2**20
+
+
+def _subcode_count(code: LinearCode, r: int, max_enum=None) -> int:
+    """Number of r-dimensional subcodes, refused when it exceeds the cap."""
+    total = gaussian_binomial(code.k, r, code.field.q)
+    check_cap(total, max_enum, what=f"{r}-dim subcodes")
+    return total
 
 
 def ghw_definitional(code: LinearCode, r: int, max_enum=None) -> int:
@@ -49,10 +56,12 @@ def ghw_definitional(code: LinearCode, r: int, max_enum=None) -> int:
     field = code.field
     rows = [tuple(int(x) for x in row) for row in code.generator]
     reduced, rank, _ = rref(field, rows)
-    assert rank == code.k
+    if rank != code.k:
+        raise ValueError(
+            f"generator has rank {rank}, but the code records k = {code.k}"
+        )
     gen = fp_matrix(field, np.asarray(reduced, dtype=np.int64))  # (k e, e n)
-    total = gaussian_binomial(code.k, r, field.q)
-    check_cap(total, max_enum, what=f"{r}-dim subcodes")
+    total = _subcode_count(code, r, max_enum)
     step = max(1, min(_CHUNK, _CHUNK_BYTES // (r * field.e * code.n * 8)))
     best = None
     for s in range(0, total, step):
@@ -69,6 +78,9 @@ def ghw_definitional(code: LinearCode, r: int, max_enum=None) -> int:
 
 
 def hierarchy_definitional(code: LinearCode, max_enum=None) -> WeightHierarchy:
+    """Every weight by subcode enumeration, all ranks capped up front."""
+    for r in range(1, code.k + 1):
+        _subcode_count(code, r, max_enum)
     values = tuple(ghw_definitional(code, r, max_enum) for r in range(1, code.k + 1))
     return WeightHierarchy(
         spec=code.spec,
@@ -85,18 +97,17 @@ def hierarchy_definitional(code: LinearCode, max_enum=None) -> WeightHierarchy:
 
 
 @lru_cache(maxsize=8)
-def _subspaces_by_dim(q: int, s: int):
+def _subspaces_by_dim(field: Field, s: int):
     """All subspaces of F_q^s as (dim, frozenset of nonzero vector codes),
-    dimension ascending, canonical order within a dimension.  Prime q only;
-    the matmul below is plain modular arithmetic."""
+    dimension ascending, canonical order within a dimension."""
+    q = field.q
     out = [(0, frozenset())]
     weights = q ** np.arange(s - 1, -1, -1, dtype=np.int64)
     for r in range(1, s + 1):
-        coeffs = codes_to_matrix(range(1, q**r), q, r)  # (q^r - 1, r)
         total = gaussian_binomial(s, r, q)
         for start in range(0, total, _CHUNK):
             for block in subspace_bases_array(q, s, r, start, min(start + _CHUNK, total)):
-                vecs = (coeffs @ block) % q
+                vecs = span_vectors(field, block)
                 out.append((r, frozenset(int(c) for c in vecs @ weights)))
     return tuple(out)
 
@@ -104,14 +115,9 @@ def _subspaces_by_dim(q: int, s: int):
 def _span_codes(field: Field, sub: Subspace, pivots, s: int):
     """Nonzero vectors of a subspace, written in coordinates of the ambient
     sum space and packed into integer codes."""
-    q = field.q
-    if sub.dim == 0:
-        return frozenset()
-    coeffs = codes_to_matrix(range(1, q**sub.dim), q, sub.dim)
-    basis = np.asarray(sub.basis, dtype=np.int64)
-    vecs = matmul(field, coeffs, basis)  # (q^dim - 1, ambient)
-    coords = vecs[:, list(pivots)]  # coefficients against the sum space basis
-    weights = q ** np.arange(s - 1, -1, -1, dtype=np.int64)
+    basis = np.asarray(sub.basis, dtype=np.int64).reshape(sub.dim, sub.ambient)
+    coords = span_vectors(field, basis)[:, list(pivots)]  # against the sum's basis
+    weights = field.q ** np.arange(s - 1, -1, -1, dtype=np.int64)
     return frozenset(int(c) for c in coords @ weights)
 
 
@@ -130,12 +136,9 @@ def lemma1_brute_multi(field: Field, spaces, max_enum=None) -> int:
     q = field.q
     count = sum(gaussian_binomial(s, r, q) for r in range(s + 1))
     check_cap(count, max_enum, what="candidate subspaces")
-    if field.e > 1:
-        # vector generation below leans on prime arithmetic
-        raise NotImplementedError("avoidance search only runs over prime fields")
     forbidden = [_span_codes(field, sp, total.pivots, s) for sp in spaces]
     best = 0
-    for dim, codes in _subspaces_by_dim(q, s):
+    for dim, codes in _subspaces_by_dim(field, s):
         if dim <= best:
             continue
         if all(codes.isdisjoint(f) for f in forbidden):

@@ -20,11 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-import numpy as np
-
 from .config import check_cap
 from .field import Field
-from .linalg import Subspace, null_space, subspace_from_vectors
+from .linalg import Subspace, codes_to_matrix, subspace_from_vectors
 
 
 @dataclass(frozen=True)
@@ -138,13 +136,6 @@ def member_codes(spec: ComplexSpec, q: int, max_enum=None):
     return codes
 
 
-def codes_to_matrix(codes, q: int, m: int):
-    """Decode integer codes into an (N, m) int64 matrix of element codes."""
-    arr = np.asarray(codes, dtype=np.int64).reshape(-1, 1)
-    weights = q ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    return (arr // weights) % q
-
-
 def enumerate_members(spec: ComplexSpec, field: Field, max_enum=None):
     """Members as coordinate tuples, ascending code order."""
     codes = member_codes(spec, field.q, max_enum)
@@ -152,45 +143,36 @@ def enumerate_members(spec: ComplexSpec, field: Field, max_enum=None):
     return [tuple(int(x) for x in row) for row in mat]
 
 
-def k_space(spec: ComplexSpec, field: Field, max_enum=None) -> Subspace:
-    """Orthogonal complement of the span of the defining set.
+def k_space(spec: ComplexSpec, field: Field) -> Subspace:
+    """Orthogonal complement K of the span of the defining set D.
 
-    Without the complement flag the span is the coordinate subspace on
-    the union of the generators, so its complement is the coordinate
-    subspace on the leftover positions.  With the flag the span has to
-    be grown vector by vector, stopping as soon as it fills the space.
+    D depends only on supports, so K is read off the generators and no
+    member is enumerated.  A face is a subset of some generator.  Without
+    the complement flag K is the coordinate subspace off the union of the
+    generators.  With it, D holds every vector whose support is not a
+    face: a generator equal to [m] leaves D empty and K = F^m, and
+    otherwise D holds every vector of full support.  For q > 2 those span
+    F^m (the all-ones vector minus itself with lambda outside {0, 1} at
+    position j is (1 - lambda) e_j), so K = 0.  For q = 2 let I hold the
+    i for which [m] - {i} is a generator: e_j lies in the span for every
+    j outside I and every non-face contains I, so K is the even-weight
+    vectors supported on I, of dimension max(0, |I| - 1).  The basis comes
+    from ``subspace_from_vectors``, so it is canonical.
     """
     m = spec.m
-    if not spec.complement:
-        union = set()
-        for s in spec.sets:
-            union |= set(s)
-        leftovers = sorted(set(range(1, m + 1)) - union)
-        rows = []
-        for pos in leftovers:
-            v = [0] * m
-            v[pos - 1] = 1
-            rows.append(tuple(v))
-        return subspace_from_vectors(field, rows, m)
+    full = set(range(1, m + 1))
+    gens = [set(s) for s in spec.sets]
 
-    codes = member_codes(spec, field.q, max_enum)
-    mat = codes_to_matrix(codes, field.q, m)
-    rows = []
-    pivots = []
-    for raw in mat:
-        w = [int(x) for x in raw]
-        for row, p in zip(rows, pivots):
-            c = w[p]
-            if c:
-                w = [field.sub(x, field.mul(c, y)) for x, y in zip(w, row)]
-        lead = next((j for j, x in enumerate(w) if x != 0), None)
-        if lead is None:
-            continue
-        if w[lead] != 1:
-            inv = field.inv(w[lead])
-            w = [field.mul(inv, x) for x in w]
-        rows.append(w)
-        pivots.append(lead)
-        if len(rows) == m:
-            break
-    return null_space(field, rows, m)
+    def unit(*positions):
+        return tuple(int(j in positions) for j in range(1, m + 1))
+
+    if not spec.complement:
+        rows = [unit(i) for i in sorted(full - set().union(*gens))]
+    elif full in gens:
+        rows = [unit(i) for i in range(1, m + 1)]
+    elif field.q > 2:
+        rows = []
+    else:
+        inner = [i for i in range(1, m + 1) if full - {i} in gens]
+        rows = [unit(inner[0], i) for i in inner[1:]]
+    return subspace_from_vectors(field, rows, m)

@@ -181,6 +181,20 @@ def test_search_respects_cap():
         ghw_prop1(F2, spec, 2, max_enum=50)
 
 
+def test_hierarchy_refuses_an_oversized_rank_before_searching(monkeypatch):
+    """Rank 4 has 53,743,987 candidates, over the default cap, so the whole
+    hierarchy is refused before rank 1 is searched; a single rank checks
+    only its own count."""
+    monkeypatch.delenv("GHW_MAX_ENUM", raising=False)
+    spec = normalize(10, [[1, 2, 3, 4, 5], [5, 6, 7, 8, 9, 10]], False)
+    assert ghw_prop1(F2, spec, 1)[0] == 16
+    calls = []
+    monkeypatch.setattr("ghw.code._search", lambda *args: calls.append(args))
+    with pytest.raises(ResourceCapError, match="refusing to enumerate 53743987 4-dim"):
+        hierarchy_prop1(F2, spec)
+    assert calls == []
+
+
 def test_rank_bounds_are_enforced():
     spec = normalize(4, [[1, 2]], False)  # dimension 2
     with pytest.raises(ValueError):

@@ -323,5 +323,5 @@ def _nonzero_combos(field, dim):
 def _combine(field, coeffs, basis, m):
     out = (0,) * m
     for c, row in zip(coeffs, basis):
-        out = field.add_vec(out, field.scalar_mul_vec(c, row))
+        out = field.add_vec(out, tuple(field.mul(c, x) for x in row))
     return out

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 
@@ -6,8 +7,8 @@ import pytest
 from ghw.code import build_code, hierarchy_prop1
 from ghw.config import ResourceCapError
 from ghw.field import field_new
-from ghw.formulas import lemma1_dim
-from ghw.linalg import intersection, subspace_from_vectors
+from ghw.formulas import lemma1_dim, lemma1_witness
+from ghw.linalg import enumerate_subspaces, intersection, subspace_from_vectors
 from ghw.oracle import (
     ghw_definitional,
     hierarchy_definitional,
@@ -19,6 +20,7 @@ from ghw.simplicial import normalize
 F2 = field_new(2)
 F3 = field_new(3)
 F4 = field_new(2, 2)
+F9 = field_new(3, 2)
 
 
 def _axis(field, i, m):
@@ -45,6 +47,25 @@ def test_definitional_rank_validation():
         ghw_definitional(code, 0)
     with pytest.raises(ValueError):
         ghw_definitional(code, 3)
+
+
+def test_definitional_hierarchy_refuses_an_oversized_rank_first(monkeypatch):
+    """Rank 1 has 31 subcodes and rank 2 has 155: with a cap of 100 the
+    hierarchy is refused before any subcode is enumerated."""
+    code = build_code(F2, normalize(5, [[1, 2, 3], [3, 4, 5]], False))
+    assert ghw_definitional(code, 1, max_enum=100) == 4
+    calls = []
+    monkeypatch.setattr("ghw.oracle.subspace_bases_array", lambda *a: calls.append(a))
+    with pytest.raises(ResourceCapError, match="enumerate 155 2-dim subcodes"):
+        hierarchy_definitional(code, max_enum=100)
+    assert calls == []
+
+
+def test_definitional_checks_the_recorded_dimension():
+    code = build_code(F2, normalize(5, [[1, 2, 3], [3, 4, 5]], False))
+    wrong = dataclasses.replace(code, k=code.k - 1)
+    with pytest.raises(ValueError, match="rank 5, but the code records k = 4"):
+        ghw_definitional(wrong, 1)
 
 
 def test_definitional_known_flag_code():
@@ -144,11 +165,22 @@ def test_avoidance_resource_cap():
         lemma1_brute_multi(F2, [_axis(F2, 0, 3), _axis(F2, 1, 3)], max_enum=2)
 
 
-def test_avoidance_rejects_extension_fields():
-    u = _axis(F4, 0, 2)
-    v = _axis(F4, 1, 2)
-    with pytest.raises(NotImplementedError):
-        lemma1_brute(F4, u, v)
+def test_avoidance_runs_over_extension_fields():
+    """Every pair of subspaces of GF(4)^m, m <= 3, and GF(9)^m, m <= 2."""
+    for field, top in ((F4, 3), (F9, 2)):
+        for m in range(1, top + 1):
+            subs = [
+                sub for r in range(m + 1) for sub in enumerate_subspaces(field, m, r)
+            ]
+            for u in subs:
+                for v in subs:
+                    d = intersection(field, u, v).dim
+                    expect = lemma1_dim(u.dim, v.dim, d)
+                    assert lemma1_brute(field, u, v) == expect, (u, v)
+                    w = lemma1_witness(field, u, v)
+                    assert w.dim == expect
+                    assert intersection(field, w, u).dim == 0
+                    assert intersection(field, w, v).dim == 0
 
 
 def test_avoidance_input_validation():

@@ -1,12 +1,13 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ghw.field import field_new
-from ghw.linalg import contains
+from ghw.linalg import contains, dual, subspace_from_vectors
 from ghw.simplicial import (
+    ComplexSpec,
     cardinality,
     enumerate_members,
     k_space,
@@ -158,3 +159,50 @@ def test_k_space_of_generic_complement_is_zero():
     assert k_space(spec, F3).dim == 0
     spec2 = normalize(4, [[1, 2], [2, 3]], True)
     assert k_space(spec2, F2).dim == 0
+
+
+def _antichains(m, most):
+    """Every antichain of at most `most` nonempty subsets of [m], as
+    normalized generator tuples: subsets come in (size, lex) order, so a
+    family can only fail by an earlier member lying inside a later one."""
+    subsets = [c for size in range(1, m + 1) for c in combinations(range(1, m + 1), size)]
+    for l in range(1, most + 1):
+        for family in combinations(subsets, l):
+            if not any(set(a) <= set(b) for a, b in combinations(family, 2)):
+                yield family
+
+
+def test_k_space_is_the_dual_of_the_member_span():
+    """Every antichain of at most three generators, both flags, against
+    the orthogonal complement of the row-reduced members."""
+    checked = 0
+    plan = ((2, 1, 5), (3, 1, 4), (2, 2, 3), (5, 1, 3), (2, 3, 2), (3, 2, 2))
+    for p, e, top in plan:
+        field = field_new(p, e)
+        for m in range(1, top + 1):
+            for sets in _antichains(m, 3):
+                for complement in (False, True):
+                    spec = ComplexSpec(m=m, sets=sets, complement=complement)
+                    members = enumerate_members(spec, field)
+                    span = subspace_from_vectors(field, members, m)
+                    assert k_space(spec, field) == dual(field, span), (field, spec)
+                    checked += 1
+    assert checked == 3552
+
+
+def test_k_space_reads_no_members(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("k_space enumerated the defining set")
+
+    monkeypatch.setattr("ghw.simplicial.member_codes", refuse)
+    spec = normalize(16, [[1, 2, 3], [3, 4, 5], [5, 6, 1]], True)
+    assert k_space(spec, F2).dim == 0
+    # over GF(2) the kernel is the even-weight vectors on the positions i
+    # whose complement [16] - {i} is a generator
+    big = [[j for j in range(1, 17) if j != i] for i in (2, 5, 9)]
+    ker = k_space(normalize(16, big, True), F2)
+    assert ker.basis == (
+        tuple(int(j in (2, 9)) for j in range(1, 17)),
+        tuple(int(j in (5, 9)) for j in range(1, 17)),
+    )
+    assert k_space(normalize(16, big, True), F3).dim == 0
