@@ -39,6 +39,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -135,18 +136,25 @@ class _SearchContext:
     kernel_vectors: np.ndarray  # nonzero vectors of the kernel, (t, m)
     max_enum: int | None = None
 
+    @cached_property
+    def small_fp(self) -> np.ndarray:
+        """fp_matrix(field, small.T), (m e, e Ns): built at the first rank
+        that passes its cap check, then shared by every chunk and rank."""
+        return fp_matrix(self.field, self.small.T)
 
-def _orthogonal_counts(field: Field, bases: np.ndarray, vectors: np.ndarray, out=None):
+
+def _orthogonal_counts(field: Field, bases: np.ndarray, right: np.ndarray, out=None):
     """For each candidate basis B in the stack, count vectors v with Bv = 0.
 
-    Bv vanishes exactly when every F_p digit of it does, so the product is
-    taken one output digit at a time.  ``out`` is an optional int64 scratch
-    array of shape (rows, r, t) with rows >= len(bases) and t = len(vectors);
-    each digit's products are written there instead of into fresh memory.
+    ``right`` is ``fp_matrix(field, vectors.T)`` for the t vectors, built
+    once by the caller.  Bv vanishes exactly when every F_p digit of it
+    does, so the product is taken one output digit at a time.  ``out`` is
+    an optional int64 scratch array of shape (rows, r, t) with
+    rows >= len(bases); each digit's products are written there instead
+    of into fresh memory.
     """
-    c, t = len(bases), len(vectors)
+    c, t = len(bases), right.shape[1] // field.e
     left = to_digits(field, bases)
-    right = fp_matrix(field, vectors.T)
     out = None if out is None else out[:c]
     for d in range(field.e):
         prods = np.matmul(left, right[:, d * t : (d + 1) * t], out=out)
@@ -239,6 +247,7 @@ def _search(ctx: _SearchContext, r: int, threads: int = 1):
     field, spec = ctx.field, ctx.spec
     q, m = field.q, spec.m
     total = _rank_candidates(ctx, r)
+    right = ctx.small_fp
     per_h = q ** (m - r)
     maximize = not spec.complement
     # the zero vector always lands in the union side, never the complement
@@ -251,7 +260,7 @@ def _search(ctx: _SearchContext, r: int, threads: int = 1):
         chunk = subspace_bases_array(q, m, r, start, min(start + _CHUNK, total))
         if not hasattr(local, "prods"):  # once per rank and thread
             local.prods, local.recon = _scratch(ctx, min(_CHUNK, total), r)
-        counts = _orthogonal_counts(field, chunk, ctx.small, out=local.prods)
+        counts = _orthogonal_counts(field, chunk, right, out=local.prods)
         f = counts if ctx.small_is_union else per_h - counts
         valid = _valid_mask(field, chunk, ctx.kernel_vectors, out=local.recon)
         if not valid.any():

@@ -1,13 +1,18 @@
 """Brute-force baselines that trust nothing but definitions.
 
 The weight oracle walks every r-dimensional subcode: message subspaces
-are enumerated through canonical bases of F_q^k, each is pushed through
-a full-rank generator, and the support is counted column by column.  No
-duality, no counting identities, no shortcuts besides batching the
-matrix products.  Deliberately boring, so it can sit on the other side
-of an equality check from the closed forms and the subspace search.
-Products run on F_p digits (see field.py), and an entry is nonzero when
-any of its digits is, so supports are read off the digits directly.
+are enumerated through canonical bases of F_q^k, and the support of a
+subcode, the union of the supports of its basis rows, is counted.  No
+duality, no counting identities, no shortcuts besides batching.
+Deliberately boring, so it can sit on the other side of an equality
+check from the closed forms and the subspace search.
+
+Every row of a canonical RREF basis is monic (its first nonzero entry is
+1), so each code first pushes its G(k, 1) monic messages through a
+full-rank generator, once, and keeps the supports of those codewords in
+a table packed into 64-bit words.  Products run on F_p digits (see
+field.py), and an entry is nonzero when any of its digits is.  A subcode
+then costs a lookup of its r rows, an OR over them and a popcount.
 Subcodes are taken in chunks sized by bytes, so the memory of a chunk
 does not grow with the code length.
 
@@ -37,8 +42,9 @@ from .linalg import (
     subspace_from_vectors,
 )
 
-# bytes of one chunk of codeword digits in the weight oracle, which sizes
-# its rows by the code length instead of holding _CHUNK rows of any width
+# bytes of one block of int64 codeword digits while the support table is
+# built, and of the table rows one chunk of subcodes gathers, so neither
+# grows with the code length
 _CHUNK_BYTES = 16 * 2**20
 
 
@@ -49,10 +55,15 @@ def _subcode_count(code: LinearCode, r: int, max_enum=None) -> int:
     return total
 
 
-def ghw_definitional(code: LinearCode, r: int, max_enum=None) -> int:
-    """Smallest support size over all r-dimensional subcodes."""
-    if not 1 <= r <= code.k:
-        raise ValueError(f"r must lie in 1..{code.k}, got {r}")
+@lru_cache(maxsize=1)
+def _row_supports(code: LinearCode) -> np.ndarray:
+    """Supports of x G for every monic message x, in the canonical order
+    of the 1-dim subspaces of F_q^k, packed little-endian: column j is bit
+    j % 64 of word j // 64.  Shape (G(k, 1), ceil(n / 64)), uint64.
+
+    ``LinearCode`` hashes by identity, so the cache holds the table of the
+    most recent code only.
+    """
     field = code.field
     rows = [tuple(int(x) for x in row) for row in code.generator]
     reduced, rank, _ = rref(field, rows)
@@ -61,17 +72,41 @@ def ghw_definitional(code: LinearCode, r: int, max_enum=None) -> int:
             f"generator has rank {rank}, but the code records k = {code.k}"
         )
     gen = fp_matrix(field, np.asarray(reduced, dtype=np.int64))  # (k e, e n)
+    total = gaussian_binomial(code.k, 1, field.q)
+    nbytes = -(-code.n // 64) * 8
+    table = np.zeros((total, nbytes), dtype=np.uint8)
+    step = max(1, min(_CHUNK, _CHUNK_BYTES // (field.e * code.n * 8)))
+    for s in range(0, total, step):
+        stop = min(s + step, total)
+        messages = subspace_bases_array(field.q, code.k, 1, s, stop)[:, 0]
+        words = to_digits(field, messages) @ gen  # (c, e n) codeword digits
+        words %= field.p
+        # digit major: a column is in the support when any digit is nonzero
+        nonzero = np.any(words.reshape(stop - s, field.e, code.n), axis=1)
+        packed = np.packbits(nonzero, axis=1, bitorder="little")
+        table[s:stop, : packed.shape[1]] = packed
+    return table.view("<u8")
+
+
+def ghw_definitional(code: LinearCode, r: int, max_enum=None) -> int:
+    """Smallest support size over all r-dimensional subcodes."""
+    if not 1 <= r <= code.k:
+        raise ValueError(f"r must lie in 1..{code.k}, got {r}")
+    q, k = code.field.q, code.k
     total = _subcode_count(code, r, max_enum)
-    step = max(1, min(_CHUNK, _CHUNK_BYTES // (r * field.e * code.n * 8)))
+    _subcode_count(code, 1, max_enum)  # the rows of the support table
+    table = _row_supports(code)
+    # a monic row with pivot p and code c = row . (q^(k-1), ..., 1) is
+    # 1-dim subspace number c - q^(k-1-p) + sum_{i<p} q^(k-1-i)
+    weights = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    offsets = np.concatenate(([0], np.cumsum(weights)[:-1])) - weights
+    step = max(1, min(_CHUNK, _CHUNK_BYTES // (r * table.shape[1] * 8)))
     best = None
     for s in range(0, total, step):
-        chunk = subspace_bases_array(field.q, code.k, r, s, min(s + step, total))
-        words = to_digits(field, chunk) @ gen  # (c, r, e n) codeword digits
-        words %= field.p
-        # digit major: a column is in the support when any row has any
-        # nonzero digit there
-        supports = np.any(words.reshape(len(chunk), -1, code.n), axis=1).sum(axis=1)
-        low = int(supports.min())
+        chunk = subspace_bases_array(q, k, r, s, min(s + step, total))
+        index = chunk @ weights + offsets[np.argmax(chunk != 0, axis=2)]  # (c, r)
+        support = np.bitwise_or.reduce(table[index], axis=1)  # (c, words)
+        low = int(np.bitwise_count(support).sum(axis=1, dtype=np.int64).min())
         if best is None or low < best:
             best = low
     return best

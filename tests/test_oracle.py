@@ -1,15 +1,24 @@
 import dataclasses
 import random
 import tracemalloc
+from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from ghw.code import build_code, hierarchy_prop1
 from ghw.config import ResourceCapError
 from ghw.field import field_new
 from ghw.formulas import lemma1_dim, lemma1_witness
-from ghw.linalg import enumerate_subspaces, intersection, subspace_from_vectors
+from ghw.linalg import (
+    enumerate_subspaces,
+    gaussian_binomial,
+    intersection,
+    rref,
+    subspace_from_vectors,
+)
 from ghw.oracle import (
+    _row_supports,
     ghw_definitional,
     hierarchy_definitional,
     lemma1_brute,
@@ -20,6 +29,7 @@ from ghw.simplicial import normalize
 F2 = field_new(2)
 F3 = field_new(3)
 F4 = field_new(2, 2)
+F8 = field_new(2, 3)
 F9 = field_new(3, 2)
 
 
@@ -95,9 +105,10 @@ def test_definitional_agrees_with_subspace_search():
 
 
 def test_definitional_memory_is_bounded_by_bytes():
-    """A long code gets fewer subcodes per chunk, so the codeword digits
-    of one chunk stay near the oracle's byte budget whatever n is (4096
-    rows of width 702 here would peak near 200 MB)."""
+    """The support table is built from blocks of codeword digits sized by
+    bytes, and a long code gets fewer subcodes per chunk, so the oracle
+    stays near its byte budget whatever n is (4096 rows of digits of
+    width 702 would peak near 200 MB)."""
     spec = normalize(6, [[2, 3, 4]], True)
     code = build_code(F3, spec)
     assert code.n == 702
@@ -109,6 +120,86 @@ def test_definitional_memory_is_bounded_by_bytes():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20, peak
+
+
+def _monic_messages(q, k):
+    """Every nonzero message whose first nonzero entry is 1, ordered by
+    pivot and then lexicographically: the canonical order of the 1-dim
+    subspaces of F_q^k."""
+    monic = [x for x in product(range(q), repeat=k) if any(x)]
+    monic = [x for x in monic if x[next(i for i, a in enumerate(x) if a)] == 1]
+    return sorted(monic, key=lambda x: (next(i for i, a in enumerate(x) if a), x))
+
+
+def test_support_table_matches_scalar_codewords():
+    """Each row of the packed table is the support of x G, computed entry
+    by entry with the scalar field operations, for every monic x."""
+    plan = (
+        (F2, 4, [[1, 2], [2, 3, 4]], False),
+        (F2, 4, [[1, 2], [3, 4]], True),
+        (F3, 3, [[1, 2], [2, 3]], False),
+        (F3, 3, [[1], [2, 3]], True),
+        (F4, 3, [[1, 2], [3]], False),
+        (F4, 3, [[1, 2]], True),
+        (F8, 2, [[1], [2]], False),
+        (F8, 2, [[1]], True),
+        (F9, 2, [[1], [2]], True),
+    )
+    for field, m, sets, comp in plan:
+        code = build_code(field, normalize(m, sets, comp))
+        reduced, _, _ = rref(field, [tuple(int(x) for x in row) for row in code.generator])
+        table = _row_supports(code)
+        assert table.dtype == np.dtype("<u8")
+        assert table.shape == (gaussian_binomial(code.k, 1, field.q), -(-code.n // 64))
+        bits = np.unpackbits(table.view(np.uint8), axis=1, bitorder="little")
+        assert not bits[:, code.n :].any()
+        for row, x in zip(bits, _monic_messages(field.q, code.k)):
+            word = [0] * code.n
+            for a, g in zip(x, reduced):
+                word = [field.add(w, field.mul(a, b)) for w, b in zip(word, g)]
+            assert row[: code.n].tolist() == [int(w != 0) for w in word], (field, sets, x)
+
+
+def test_definitional_agrees_with_search_on_extension_complements():
+    checked = 0
+    for field, top in ((F4, 3), (F9, 2)):
+        for m in range(1, top + 1):
+            subsets = [c for size in range(1, m) for c in combinations(range(1, m + 1), size)]
+            for l in (1, 2):
+                for sets in combinations(subsets, l):
+                    spec = normalize(m, sets, True)
+                    expect = hierarchy_prop1(field, spec).values
+                    assert hierarchy_definitional(build_code(field, spec)).values == expect
+                    checked += 1
+    assert checked == 27
+
+
+def test_definitional_hierarchy_reduces_the_generator_once(monkeypatch):
+    """One row reduction per code, not one per rank: the support table is
+    built once and shared by every rank."""
+    code = build_code(F3, normalize(4, [[1, 2], [2, 3, 4]], False))
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return rref(*args)
+
+    monkeypatch.setattr("ghw.oracle.rref", counting)
+    assert hierarchy_definitional(code).values == hierarchy_prop1(F3, code.spec).values
+    assert code.k == 4
+    assert len(calls) == 1
+
+
+def test_definitional_top_rank_caps_the_support_table(monkeypatch):
+    """Rank k has a single subcode, but the table behind it has a row per
+    1-dim subcode: 31 here, so a cap of 30 refuses it before any work."""
+    code = build_code(F2, normalize(5, [[1, 2, 3], [3, 4, 5]], False))
+    rows = gaussian_binomial(code.k, 1, 2)
+    calls = []
+    monkeypatch.setattr("ghw.oracle.subspace_bases_array", lambda *a: calls.append(a))
+    with pytest.raises(ResourceCapError, match=f"enumerate {rows} 1-dim subcodes"):
+        ghw_definitional(code, code.k, max_enum=rows - 1)
+    assert calls == []
 
 
 def test_definitional_extension_field():

@@ -12,6 +12,7 @@ from ghw.simplicial import (
     enumerate_members,
     k_space,
     member,
+    member_codes,
     normalize,
     normalize_sets,
     parse_sets,
@@ -188,6 +189,41 @@ def test_k_space_is_the_dual_of_the_member_span():
                     assert k_space(spec, field) == dual(field, span), (field, spec)
                     checked += 1
     assert checked == 3552
+
+
+def _member_codes_loop(spec, q):
+    """The scalar reference: every member of every generator, one at a
+    time, and a complement taken against the set of all q^m codes."""
+    m = spec.m
+    inside = set()
+    for s in spec.sets:
+        weights = [q ** (m - pos) for pos in s]
+        for digits in product(range(q), repeat=len(s)):
+            inside.add(sum(w * d for w, d in zip(weights, digits)))
+    return sorted(set(range(q**m)) - inside) if spec.complement else sorted(inside)
+
+
+def test_member_codes_match_the_scalar_loop():
+    """Every antichain of at most three generators, both flags."""
+    checked = 0
+    for q, top in ((2, 5), (3, 4), (4, 3)):
+        for m in range(1, top + 1):
+            for sets in _antichains(m, 3):
+                for complement in (False, True):
+                    spec = ComplexSpec(m=m, sets=sets, complement=complement)
+                    codes = member_codes(spec, q)
+                    assert type(codes) is list
+                    assert all(type(c) is int for c in codes)
+                    assert codes == _member_codes_loop(spec, q), (q, spec)
+                    checked += 1
+    assert checked == 3486
+
+
+def test_member_codes_refuse_codes_beyond_64_bits():
+    with pytest.raises(OverflowError):
+        member_codes(normalize(40, [[1, 2]], False), 3)
+    # the codes of late coordinates stay small even when q^m does not
+    assert member_codes(normalize(40, [[40]], False), 3) == [0, 1, 2]
 
 
 def test_k_space_reads_no_members(monkeypatch):
