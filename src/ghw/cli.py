@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 argument or input errors, 3 enumeration refused
-by the resource cap, 4 a verification mismatch, 5 no closed form applies.
+by the resource cap or a size limit (member codes past 64 bits), 4 a
+verification mismatch, 5 no closed form applies.
 """
 
 from __future__ import annotations
@@ -356,7 +357,7 @@ def main(argv=None) -> int:
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except ResourceCapError as exc:
+    except (ResourceCapError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NotApplicable as exc:

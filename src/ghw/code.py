@@ -24,11 +24,11 @@ checked one output digit at a time, so a prime field is the case of a
 single digit.
 
 Each rank is scanned in canonical order, one chunk of at most ``_CHUNK``
-candidate bases at a time, each chunk built on demand and scored into
-buffers allocated once per rank (and thread).  A chunk reduces to its
-best value and a copy of its first optimal basis, so nothing of the rank
-outlives the scan, and the scan stops at the first chunk that reaches the
-bound.  With threads, at most 2 x threads chunks are in flight and they
+candidate bases at a time, each chunk built on demand and scored into a
+product buffer allocated once per rank (and thread); the kernel mask
+calls ``field.matmul``.  A chunk reduces to its best value and a copy of
+its first optimal basis, so nothing of the rank outlives the scan, and
+the scan stops at the first chunk that reaches the bound.  With threads, at most 2 x threads chunks are in flight and they
 are absorbed in order, which gives the serial result and witness.
 """
 
@@ -45,15 +45,15 @@ from itertools import islice
 import numpy as np
 
 from .config import check_cap
-from .field import Field, fp_matrix, to_digits
+from .field import Field, fp_matrix, matmul, to_digits
 from .linalg import (
     _CHUNK,
     Subspace,
     codes_to_matrix,
-    gaussian_binomial,
     span_vectors,
     subspace_bases_array,
-    subspace_from_vectors,
+    subspace_count,
+    subspace_from_rref,
 )
 from .simplicial import ComplexSpec, cardinality, k_space, member_codes
 
@@ -63,7 +63,6 @@ class LinearCode:
 
     field: Field
     spec: ComplexSpec
-    codes: tuple
     generator: np.ndarray  # m rows, one column per defining vector
     n: int
     k: int
@@ -80,7 +79,6 @@ def build_code(field: Field, spec: ComplexSpec, max_enum=None) -> LinearCode:
     return LinearCode(
         field=field,
         spec=spec,
-        codes=tuple(codes),
         generator=defining.T.copy(),
         n=len(codes),
         k=k,
@@ -130,7 +128,6 @@ class _SearchContext:
     spec: ComplexSpec
     n: int
     k: int
-    kernel: Subspace
     small: np.ndarray  # (Ns, m) matrix of the smaller side
     small_is_union: bool
     kernel_vectors: np.ndarray  # nonzero vectors of the kernel, (t, m)
@@ -164,46 +161,21 @@ def _orthogonal_counts(field: Field, bases: np.ndarray, right: np.ndarray, out=N
     return t - nonzero.sum(axis=1)
 
 
-def _valid_mask(field: Field, bases: np.ndarray, kernel_vectors: np.ndarray, out=None):
+def _valid_mask(field: Field, bases: np.ndarray, kernel_vectors: np.ndarray):
     """True where the candidate meets the kernel only in zero.
 
     A vector sits in the row space of an RREF basis exactly when the
     combination read off at the pivot columns reproduces it, so one
-    reconstruction per (candidate, kernel vector) pair settles the mask,
-    compared one F_p digit at a time.  Pivot columns are recovered per
-    candidate as the first nonzero entry of each basis row, which RREF
-    guarantees is a leading one.
-
-    ``out`` is an optional int64 scratch array of shape (rows, t, m) with
-    rows >= len(bases) and t = len(kernel_vectors); each digit's
-    reconstructions are written there.
+    reconstruction per (candidate, kernel vector) pair settles the mask.
+    Pivot columns are recovered per candidate as the first nonzero entry
+    of each basis row, which RREF guarantees is a leading one.
     """
-    c, _, m = bases.shape
     if kernel_vectors.shape[0] == 0:
-        return np.ones(c, dtype=bool)
+        return np.ones(len(bases), dtype=bool)
     pivcols = np.argmax(bases != 0, axis=2)  # (c, r)
-    t = kernel_vectors.shape[0]
-    coeffs = kernel_vectors[:, pivcols]  # (t, c, r)
-    coeffs = np.transpose(coeffs, (1, 0, 2))  # (c, t, r)
-    left = to_digits(field, coeffs)
-    right = fp_matrix(field, bases)
-    target = to_digits(field, kernel_vectors).reshape(t, m, field.e)
-    out = None if out is None else out[:c]
-    for d in range(field.e):
-        recon = np.matmul(left, right[..., d * m : (d + 1) * m], out=out)
-        np.remainder(recon, field.p, out=recon)
-        same = np.all(recon == target[None, :, :, d], axis=2)  # (c, t)
-        inside = same if d == 0 else inside & same
-    return ~inside.any(axis=1)
-
-
-def _scratch(ctx: _SearchContext, rows: int, r: int):
-    """Scoring buffers (products, reconstructions) for chunks of up to
-    ``rows`` rank-r candidates, each holding one F_p digit at a time."""
-    return (
-        np.empty((rows, r, len(ctx.small)), dtype=np.int64),
-        np.empty((rows, len(ctx.kernel_vectors), ctx.spec.m), dtype=np.int64),
-    )
+    coeffs = np.transpose(kernel_vectors[:, pivcols], (1, 0, 2))  # (c, t, r)
+    recon = matmul(field, coeffs, bases)  # (c, t, m)
+    return ~np.all(recon == kernel_vectors, axis=2).any(axis=1)
 
 
 def _search_context(field: Field, spec: ComplexSpec, max_enum=None) -> _SearchContext:
@@ -225,7 +197,6 @@ def _search_context(field: Field, spec: ComplexSpec, max_enum=None) -> _SearchCo
         spec=spec,
         n=n,
         k=spec.m - kernel.dim,
-        kernel=kernel,
         small=small,
         small_is_union=not small_spec.complement,
         kernel_vectors=span_vectors(field, basis),
@@ -233,20 +204,12 @@ def _search_context(field: Field, spec: ComplexSpec, max_enum=None) -> _SearchCo
     )
 
 
-def _rank_candidates(ctx: _SearchContext, r: int) -> int:
-    """Number of rank-r candidates, refused when it exceeds the cap."""
-    m = ctx.spec.m
-    total = gaussian_binomial(m, r, ctx.field.q)
-    check_cap(total, ctx.max_enum, what=f"{r}-dim subspaces of dimension-{m} space")
-    return total
-
-
 def _search(ctx: _SearchContext, r: int, threads: int = 1):
     """Best f over valid candidates: (value, first basis in canonical order
     attaining it, as an (r, m) array)."""
     field, spec = ctx.field, ctx.spec
     q, m = field.q, spec.m
-    total = _rank_candidates(ctx, r)
+    total = subspace_count(q, m, r, ctx.max_enum)
     right = ctx.small_fp
     per_h = q ** (m - r)
     maximize = not spec.complement
@@ -259,10 +222,11 @@ def _search(ctx: _SearchContext, r: int, threads: int = 1):
         candidates of the chunk at start, or None when none is valid."""
         chunk = subspace_bases_array(q, m, r, start, min(start + _CHUNK, total))
         if not hasattr(local, "prods"):  # once per rank and thread
-            local.prods, local.recon = _scratch(ctx, min(_CHUNK, total), r)
+            rows = min(_CHUNK, total)
+            local.prods = np.empty((rows, r, len(ctx.small)), dtype=np.int64)
         counts = _orthogonal_counts(field, chunk, right, out=local.prods)
         f = counts if ctx.small_is_union else per_h - counts
-        valid = _valid_mask(field, chunk, ctx.kernel_vectors, out=local.recon)
+        valid = _valid_mask(field, chunk, ctx.kernel_vectors)
         if not valid.any():
             return None
         vals = f[valid]
@@ -324,8 +288,7 @@ def _ghw_from_context(ctx: _SearchContext, r: int, threads: int = 1):
         value = ctx.n - q ** (m - r) + best
     else:
         value = ctx.n - best
-    witness = subspace_from_vectors(ctx.field, basis.tolist(), m)
-    return value, witness
+    return value, subspace_from_rref(basis)
 
 
 def hierarchy_prop1(
@@ -336,7 +299,7 @@ def hierarchy_prop1(
     against the cap before the first search starts."""
     ctx = _search_context(field, spec, max_enum)
     for r in range(1, ctx.k + 1):
-        _rank_candidates(ctx, r)
+        subspace_count(ctx.field.q, ctx.spec.m, r, ctx.max_enum)
     found = [_ghw_from_context(ctx, r, threads) for r in range(1, ctx.k + 1)]
     values = tuple(value for value, _ in found)
     return WeightHierarchy(

@@ -14,11 +14,11 @@ x, under which "residue polynomial" degenerates to the residue mod p.
 The vector routines of the search and the oracle share one arithmetic
 path for every q.  An element is its e digits over F_p, and multiplying
 by a fixed element is its e-by-e matrix over F_p (the regular
-representation), so a product of code matrices over GF(q) is one integer
-matmul of digits against the block-expanded right operand, reduced mod p.
-The digits and matrices of all q elements come from one cached table
-pair; for e = 1 the digits are the codes and the expansion is the matrix
-itself.
+representation), so a product of code matrices over GF(q) is an integer
+matmul of digits against the block-expanded right operand, reduced mod p,
+one output digit at a time (``matmul``).  The digits and matrices of all
+q elements come from one cached table pair; for e = 1 the digits are the
+codes and the expansion is the matrix itself.
 """
 
 from __future__ import annotations
@@ -42,12 +42,6 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
-
-
-def _poly_trim(a):
-    while a and a[-1] == 0:
-        a = a[:-1]
-    return a
 
 
 def _poly_mul(a, b, p):
@@ -194,9 +188,6 @@ class Field:
             n >>= 1
         return result
 
-    def add_vec(self, u, v) -> tuple:
-        return tuple(self.add(a, b) for a, b in zip(u, v))
-
 
 def field_new(p: int, e: int = 1) -> Field:
     """Construct GF(p^e) with the canonical modulus; p must be prime."""
@@ -259,9 +250,16 @@ def fp_matrix(field: Field, b: np.ndarray) -> np.ndarray:
 
 
 def matmul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over GF(q) on codes; a is (..., s), b is (s, t)."""
-    prods = to_digits(field, a) @ fp_matrix(field, b)
-    prods %= field.p
-    t = b.shape[1]
-    weights = field.p ** np.arange(field.e, dtype=np.int64)
-    return weights @ prods.reshape(prods.shape[:-1] + (field.e, t))
+    """a @ b over GF(q) on codes; a is (..., s), b is (..., s, t), batch
+    dimensions broadcast.  Taken one output digit at a time: digit d,
+    reduced mod p, is added at weight p^d into the first digit's array."""
+    left, right = to_digits(field, a), fp_matrix(field, b)
+    p, t = field.p, b.shape[-1]
+    out = left @ right[..., :t]
+    out %= p
+    for d in range(1, field.e):
+        digit = left @ right[..., d * t : (d + 1) * t]
+        digit %= p
+        digit *= p**d
+        out += digit
+    return out

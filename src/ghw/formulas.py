@@ -486,7 +486,7 @@ def lemma1_witness(field: Field, u_space: Subspace, v_space: Subspace) -> Subspa
     anchored = [tuple(row) for row in inter.basis]
     alphas = _extend_past(field, anchored, u_space.basis, target, m)
     betas = _extend_past(field, anchored, v_space.basis, target, m)
-    rows = [field.add_vec(a, b) for a, b in zip(alphas, betas)]
+    rows = [tuple(map(field.add, a, b)) for a, b in zip(alphas, betas)]
     out = subspace_from_vectors(field, rows, m)
     if out.dim != target:
         raise RuntimeError("paired extension collapsed; inputs were not subspaces")

@@ -106,21 +106,13 @@ def subspace_from_vectors(field: Field, vectors, ambient: int) -> Subspace:
     return Subspace(ambient=ambient, dim=rank, basis=basis, pivots=pivots)
 
 
-def contains(field: Field, sub: Subspace, vec) -> bool:
-    """Membership test against an RREF basis.
-
-    The only candidate coordinates are the entries of vec at the pivot
-    columns, so one reconstruction settles it.
-    """
-    if sub.dim == 0:
-        return all(x == 0 for x in vec)
-    recon = [0] * sub.ambient
-    for i, p in enumerate(sub.pivots):
-        c = vec[p]
-        if c != 0:
-            row = sub.basis[i]
-            recon = [field.add(x, field.mul(c, y)) for x, y in zip(recon, row)]
-    return tuple(recon) == tuple(vec)
+def subspace_from_rref(basis: np.ndarray) -> Subspace:
+    """The subspace of an (r, m) array that is already a canonical RREF
+    basis, with no reduction: each pivot is the first nonzero entry of
+    its row."""
+    r, m = basis.shape
+    pivots = tuple(np.argmax(basis != 0, axis=1).tolist())
+    return Subspace(m, r, tuple(map(tuple, basis.tolist())), pivots)
 
 
 def null_space(field: Field, rows, m: int) -> Subspace:
@@ -175,6 +167,16 @@ def gaussian_binomial(m: int, r: int, q: int) -> int:
     for i in range(r):
         count = count * (q ** (m - i) - 1) // (q ** (i + 1) - 1)
     return count
+
+
+def subspace_count(q: int, m: int, r: int, max_enum=None, what=None) -> int:
+    """G(m, r) over GF(q), refused when it exceeds the enumeration cap;
+    ``what`` names the objects in the refusal."""
+    total = gaussian_binomial(m, r, q)
+    if what is None:
+        what = f"{r}-dim subspaces of dimension-{m} space"
+    check_cap(total, max_enum, what=what)
+    return total
 
 
 @lru_cache(maxsize=64)
@@ -240,10 +242,7 @@ def enumerate_subspaces(field: Field, m: int, r: int, max_enum=None):
 
     Refuses to start when the subspace count exceeds the enumeration cap.
     """
-    total = gaussian_binomial(m, r, field.q)
-    check_cap(total, max_enum, what=f"{r}-dim subspaces of dimension-{m} space")
+    total = subspace_count(field.q, m, r, max_enum)
     for s in range(0, total, _CHUNK):
         for block in subspace_bases_array(field.q, m, r, s, min(s + _CHUNK, total)):
-            basis = tuple(tuple(int(x) for x in row) for row in block)
-            pivots = tuple(next(j for j, x in enumerate(row) if x != 0) for row in basis)
-            yield Subspace(ambient=m, dim=r, basis=basis, pivots=pivots)
+            yield subspace_from_rref(block)

@@ -10,11 +10,11 @@ check from the closed forms and the subspace search.
 Every row of a canonical RREF basis is monic (its first nonzero entry is
 1), so each code first pushes its G(k, 1) monic messages through a
 full-rank generator, once, and keeps the supports of those codewords in
-a table packed into 64-bit words.  Products run on F_p digits (see
-field.py), and an entry is nonzero when any of its digits is.  A subcode
-then costs a lookup of its r rows, an OR over them and a popcount.
-Subcodes are taken in chunks sized by bytes, so the memory of a chunk
-does not grow with the code length.
+a table packed into 64-bit words; the codewords come from
+``field.matmul``.  A subcode then costs a lookup of its r rows, an OR
+over them and a popcount.  The table is built, and subcodes are taken,
+in blocks sized by bytes, so the memory of a block does not grow with
+the code length.
 
 The avoidance oracle answers the same question as the paired-extension
 construction: the largest dimension of a subspace meeting each of the
@@ -31,7 +31,7 @@ import numpy as np
 
 from .code import LinearCode, WeightHierarchy
 from .config import check_cap
-from .field import Field, fp_matrix, to_digits
+from .field import Field, matmul
 from .linalg import (
     _CHUNK,
     Subspace,
@@ -39,20 +39,14 @@ from .linalg import (
     rref,
     span_vectors,
     subspace_bases_array,
+    subspace_count,
     subspace_from_vectors,
 )
 
-# bytes of one block of int64 codeword digits while the support table is
+# bytes of the int64 codewords of one block while the support table is
 # built, and of the table rows one chunk of subcodes gathers, so neither
 # grows with the code length
 _CHUNK_BYTES = 16 * 2**20
-
-
-def _subcode_count(code: LinearCode, r: int, max_enum=None) -> int:
-    """Number of r-dimensional subcodes, refused when it exceeds the cap."""
-    total = gaussian_binomial(code.k, r, code.field.q)
-    check_cap(total, max_enum, what=f"{r}-dim subcodes")
-    return total
 
 
 @lru_cache(maxsize=1)
@@ -71,19 +65,17 @@ def _row_supports(code: LinearCode) -> np.ndarray:
         raise ValueError(
             f"generator has rank {rank}, but the code records k = {code.k}"
         )
-    gen = fp_matrix(field, np.asarray(reduced, dtype=np.int64))  # (k e, e n)
+    gen = np.asarray(reduced, dtype=np.int64)
     total = gaussian_binomial(code.k, 1, field.q)
     nbytes = -(-code.n // 64) * 8
     table = np.zeros((total, nbytes), dtype=np.uint8)
-    step = max(1, min(_CHUNK, _CHUNK_BYTES // (field.e * code.n * 8)))
+    # matmul holds two (c, n) int64 arrays: the product and one digit
+    step = max(1, min(_CHUNK, _CHUNK_BYTES // (2 * code.n * 8)))
     for s in range(0, total, step):
         stop = min(s + step, total)
         messages = subspace_bases_array(field.q, code.k, 1, s, stop)[:, 0]
-        words = to_digits(field, messages) @ gen  # (c, e n) codeword digits
-        words %= field.p
-        # digit major: a column is in the support when any digit is nonzero
-        nonzero = np.any(words.reshape(stop - s, field.e, code.n), axis=1)
-        packed = np.packbits(nonzero, axis=1, bitorder="little")
+        words = matmul(field, messages, gen)  # (c, n) codewords
+        packed = np.packbits(words != 0, axis=1, bitorder="little")
         table[s:stop, : packed.shape[1]] = packed
     return table.view("<u8")
 
@@ -93,8 +85,8 @@ def ghw_definitional(code: LinearCode, r: int, max_enum=None) -> int:
     if not 1 <= r <= code.k:
         raise ValueError(f"r must lie in 1..{code.k}, got {r}")
     q, k = code.field.q, code.k
-    total = _subcode_count(code, r, max_enum)
-    _subcode_count(code, 1, max_enum)  # the rows of the support table
+    total = subspace_count(q, k, r, max_enum, what=f"{r}-dim subcodes")
+    subspace_count(q, k, 1, max_enum, what="1-dim subcodes")  # table rows
     table = _row_supports(code)
     # a monic row with pivot p and code c = row . (q^(k-1), ..., 1) is
     # 1-dim subspace number c - q^(k-1-p) + sum_{i<p} q^(k-1-i)
@@ -114,9 +106,10 @@ def ghw_definitional(code: LinearCode, r: int, max_enum=None) -> int:
 
 def hierarchy_definitional(code: LinearCode, max_enum=None) -> WeightHierarchy:
     """Every weight by subcode enumeration, all ranks capped up front."""
-    for r in range(1, code.k + 1):
-        _subcode_count(code, r, max_enum)
-    values = tuple(ghw_definitional(code, r, max_enum) for r in range(1, code.k + 1))
+    q, k = code.field.q, code.k
+    for r in range(1, k + 1):
+        subspace_count(q, k, r, max_enum, what=f"{r}-dim subcodes")
+    values = tuple(ghw_definitional(code, r, max_enum) for r in range(1, k + 1))
     return WeightHierarchy(
         spec=code.spec,
         n=code.n,

@@ -1,8 +1,12 @@
 import csv
 import dataclasses
 import io
+import importlib
 import json
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -212,6 +216,14 @@ def test_enumeration_cap_exits_three(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_member_code_overflow_exits_three(capsys):
+    """Member codes of F_3^40 pass 64 bits: a size limit, like the cap."""
+    ret = cli.main(["params", "--q", "3", "--m", "40", "--sets", "1,2"])
+    assert ret == 3
+    err = capsys.readouterr().err
+    assert err == "error: member code 10806813741383936712 does not fit in 64 bits\n"
+
+
 def test_cap_environment_variable(capsys, monkeypatch):
     monkeypatch.setenv("GHW_MAX_ENUM", "2")
     argv = ["hierarchy", "--q", "2", "--m", "4", "--sets", "1,2,3,4", "--method", "brute"]
@@ -272,3 +284,27 @@ def test_reference_catches_broken_table(capsys, monkeypatch):
     assert "thm2" in fail_lines[0]
     assert "T2" in out
     assert "12 passed, 1 failed" in out
+
+
+# ---- the benchmark's traced launcher ----------------------------------------
+
+
+def test_traced_verify_paper_reports_every_layer(monkeypatch):
+    """perfbench/launch.py wraps each layer's entry point by module and
+    name, and silently skips one that is gone or lost its cache; a traced
+    run must still pass and report every layer present."""
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    layers = importlib.import_module("layers")
+    proc = subprocess.run(
+        [sys.executable, str(bench / "launch.py"), "verify-paper"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "13 cases: 13 passed, 0 failed" in proc.stdout.splitlines()
+    last = proc.stderr.splitlines()[-1]
+    assert last.startswith(layers.TRACE_MARK)
+    payload = json.loads(last[len(layers.TRACE_MARK) :])
+    assert set(payload["present"]) == {entry[2] for entry in layers.ENTRY_POINTS}

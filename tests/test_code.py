@@ -11,15 +11,24 @@ import pytest
 from ghw.code import (
     WeightHierarchy,
     _orthogonal_counts,
+    _valid_mask,
     build_code,
     ghw_prop1,
     hierarchy_prop1,
 )
 from ghw.config import ResourceCapError
 from ghw.field import field_new
-from ghw.linalg import _CHUNK, subspace_bases_array
-from ghw.oracle import hierarchy_definitional
-from ghw.simplicial import cardinality, normalize
+from ghw.linalg import (
+    _CHUNK,
+    enumerate_subspaces,
+    gaussian_binomial,
+    rref,
+    span_vectors,
+    subspace_bases_array,
+    subspace_from_vectors,
+)
+from ghw.oracle import ghw_definitional, hierarchy_definitional
+from ghw.simplicial import cardinality, k_space, normalize
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -193,6 +202,70 @@ def test_hierarchy_refuses_an_oversized_rank_before_searching(monkeypatch):
     with pytest.raises(ResourceCapError, match="refusing to enumerate 53743987 4-dim"):
         hierarchy_prop1(F2, spec)
     assert calls == []
+
+
+def test_count_refusals_are_pinned():
+    """The search, the oracle and the enumerator share one count check,
+    and each keeps its own refusal text."""
+    spec = normalize(5, [[1, 2, 3], [3, 4, 5]], False)
+    code = build_code(F2, spec)
+    tail = "(cap 30; raise GHW_MAX_ENUM or --max-enum to allow)"
+    space = "subspaces of dimension-5 space"
+    cases = [
+        (lambda: ghw_prop1(F2, spec, 2, max_enum=30), f"155 2-dim {space}"),
+        (lambda: list(enumerate_subspaces(F2, 5, 3, max_enum=30)), f"155 3-dim {space}"),
+        (lambda: ghw_definitional(code, 2, max_enum=30), "155 2-dim subcodes"),
+        (lambda: ghw_definitional(code, 5, max_enum=30), "31 1-dim subcodes"),
+        (lambda: hierarchy_definitional(code, max_enum=30), "31 1-dim subcodes"),
+    ]
+    for run, what in cases:
+        with pytest.raises(ResourceCapError) as exc:
+            run()
+        assert str(exc.value) == f"refusing to enumerate {what} {tail}"
+
+
+def test_witnesses_skip_the_scalar_reduction(monkeypatch):
+    """A witness is a candidate basis, already canonical RREF, so it
+    becomes a Subspace without another row reduction."""
+    calls = []
+    monkeypatch.setattr(
+        "ghw.code.subspace_from_vectors", lambda *a: calls.append(a), raising=False
+    )
+    h = hierarchy_prop1(F3, normalize(4, [[1, 2], [2, 3, 4]], False))
+    assert calls == []
+    monkeypatch.undo()
+    for r, w in enumerate(h.witnesses, start=1):
+        assert w.dim == r
+        assert w == subspace_from_vectors(F3, w.basis, 4)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4], ids=["q2", "q3", "q4"])
+def test_valid_mask_matches_a_rank_check(field):
+    """Every candidate at m <= 4, against every kernel k_space gives for
+    one or two generators with or without the complement flag: a basis
+    avoids K exactly when basis plus K has rank r + dim K."""
+    q = field.q
+    for m in range(1, 5):
+        subsets = [
+            list(c) for size in range(1, m + 1) for c in combinations(range(1, m + 1), size)
+        ]
+        kernels = set()
+        for sets in [[a] for a in subsets] + [list(p) for p in combinations(subsets, 2)]:
+            for complement in (False, True):
+                kernels.add(k_space(normalize(m, sets, complement), field))
+        assert any(kernel.dim for kernel in kernels)
+        for kernel in kernels:
+            basis = np.asarray(kernel.basis, dtype=np.int64).reshape(kernel.dim, m)
+            vectors = span_vectors(field, basis)
+            for r in range(1, m + 1):
+                bases = subspace_bases_array(q, m, r, 0, gaussian_binomial(m, r, q))
+                got = _valid_mask(field, bases, vectors)
+                want = [
+                    rref(field, [tuple(row) for row in b.tolist()] + list(kernel.basis))[1]
+                    == r + kernel.dim
+                    for b in bases
+                ]
+                assert got.tolist() == want, (m, kernel, r)
 
 
 def test_rank_bounds_are_enforced():

@@ -140,3 +140,22 @@ def test_matmul_matches_scalar_sums(p, e):
             for s in range(4):
                 want = f.add(want, f.mul(int(a[i, j, s]), int(b[s, l])))
             assert got[i, j, l] == want
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2)])
+def test_matmul_with_a_batched_right_operand_matches_scalar_sums(p, e):
+    f = field_new(p, e)
+    rng = np.random.default_rng(p * 10 + e + 1)
+    a = rng.integers(0, f.q, (3, 2, 4))
+    b = rng.integers(0, f.q, (3, 4, 5))
+    got = matmul(f, a, b)
+    assert got.shape == (3, 2, 5)
+    for i, j, l in np.ndindex(3, 2, 5):
+        want = 0
+        for s in range(4):
+            want = f.add(want, f.mul(int(a[i, j, s]), int(b[i, s, l])))
+        assert got[i, j, l] == want
+    # an unbatched left operand broadcasts against every right one
+    shared = matmul(f, a[0], b)
+    for i in range(3):
+        assert np.array_equal(shared[i], matmul(f, a[0], b[i]))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ghw.field import field_new
-from ghw.linalg import contains, dual, subspace_from_vectors
+from ghw.linalg import dual, rref, subspace_from_vectors
 from ghw.simplicial import (
     ComplexSpec,
     cardinality,
@@ -152,7 +152,7 @@ def test_k_space_of_degenerate_complement():
     ker = k_space(spec, F2)
     assert ker.dim == 1
     assert ker.basis == ((1, 0, 1),)
-    assert contains(F2, ker, (1, 0, 1))
+    assert rref(F2, ker.basis + ((1, 0, 1),))[1] == ker.dim
 
 
 def test_k_space_of_generic_complement_is_zero():
