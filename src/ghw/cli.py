@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 from time import perf_counter
 
-from .code import _ghw_from_context, _search_context, hierarchy_prop1
+from .code import _search, _search_context, hierarchy_prop1
 from .config import DEFAULT_MAX_ENUM, ResourceCapError
 from .field import Field, field_new
 from .formulas import NotApplicable, hierarchy_formula
@@ -104,7 +104,7 @@ def cmd_params(args) -> int:
         if args.verbose:
             print(f"note: no closed form ({exc.reason}); searching", file=sys.stderr)
         ctx = _search_context(field, spec, args.max_enum)
-        d1, _ = _ghw_from_context(ctx, 1, args.threads)
+        d1, _ = _search(ctx, 1, args.threads)
         n, k = ctx.n, ctx.k
         method = "prop1-search"
     elapsed = int(round((perf_counter() - start) * 1000))

@@ -6,34 +6,38 @@ x -> (x . d for d in D), one coordinate per defining vector, columns in
 ascending code order.  Its dimension is m minus the dimension of
 K = (span D) orthogonal.
 
-The weight d_r equals n minus the largest value of |D meet H-perp| over
-r-dimensional subspaces H meeting K trivially.  Writing D as the whole
-set or the complement of the union U of coordinate subspaces, both cases
-reduce to counting f(H) = |U meet H-perp|:
+The weight d_r equals n minus the largest number of defining vectors
+in H-perp over the r-dimensional subspaces H meeting K trivially (Wei's
+identity for these codes):
 
-    without complement flag:  d_r = n - max f(H)
-    with complement flag:     d_r = n - q^(m-r) + min f(H)
+    d_r = n - max |D meet H-perp|
 
-since |H-perp| = q^(m-r) splits between the union and its complement.
-The search therefore scans whichever of the two sides is smaller, and
-never constructs H-perp itself: v lies in H-perp exactly when B v = 0
-for the basis matrix B of H, which batches into integer matmuls.  Every
-field takes the same path: entries become their F_p digits, the right
-operand its block expansion over F_p (see field.py), and B v = 0 is
-checked one output digit at a time, so a prime field is the case of a
-single digit.
+D is the union U of coordinate subspaces, or its complement under the
+complement flag.  The search counts whichever of D and its complement in
+F^m is smaller; since |H-perp| = q^(m-r), either count gives
+|D meet H-perp|.  It never constructs H-perp itself: v lies in H-perp
+exactly when B v = 0 for the basis matrix B of H, which batches into
+integer matmuls.  Every field takes the same path: entries become their
+F_p digits, the right operand its block expansion over F_p (see
+field.py), and B v = 0 is checked one output digit at a time, so a
+prime field is the case of a single digit.
 
-Each rank is scanned in canonical order, one chunk of at most ``_CHUNK``
-candidate bases at a time, each chunk built on demand and scored into a
-product buffer allocated once per rank (and thread); the kernel mask
-calls ``field.matmul``.  A chunk reduces to its best value and a copy of
-its first optimal basis, so nothing of the rank outlives the scan, and
-the scan stops at the first chunk that reaches the bound.  With threads, at most 2 x threads chunks are in flight and they
-are absorbed in order, which gives the serial result and witness.
+Each rank is scanned in canonical order, one chunk of candidate bases at
+a time, each chunk built on demand and scored into a product buffer
+allocated once per rank (and thread); the kernel mask calls
+``field.matmul``.  Chunks hold ``linalg.chunk_rows`` rows, so the
+scoring buffer and the mask's products stay within
+``linalg._CHUNK_BYTES`` however large the scanned side.  A chunk reduces
+to its best value and a copy of its first optimal basis, so nothing of
+the rank outlives the scan, and the scan stops at the first chunk that
+reaches the bound.  With threads (never more than the CPUs), at most
+2 x threads chunks are in flight and they are absorbed in order, which
+gives the serial result and witness.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -47,8 +51,8 @@ import numpy as np
 from .config import check_cap
 from .field import Field, fp_matrix, matmul, to_digits
 from .linalg import (
-    _CHUNK,
     Subspace,
+    chunk_rows,
     codes_to_matrix,
     span_vectors,
     subspace_bases_array,
@@ -128,31 +132,36 @@ class _SearchContext:
     spec: ComplexSpec
     n: int
     k: int
-    small: np.ndarray  # (Ns, m) matrix of the smaller side
-    small_is_union: bool
+    small: np.ndarray  # (Ns, m) matrix of the scanned side
+    small_outside: bool  # it is the complement of D, not D
     kernel_vectors: np.ndarray  # nonzero vectors of the kernel, (t, m)
     max_enum: int | None = None
 
     @cached_property
     def small_fp(self) -> np.ndarray:
-        """fp_matrix(field, small.T), (m e, e Ns): built at the first rank
-        that passes its cap check, then shared by every chunk and rank."""
+        """fp_matrix(field, small.T), (m e, e Ns): built, if its entries
+        pass the cap, at the first rank that passes its own cap check,
+        then shared by every chunk and rank."""
+        check_cap(
+            self.small.size * self.field.e**2,
+            self.max_enum,
+            what="F_p entries of the scanned side",
+        )
         return fp_matrix(self.field, self.small.T)
 
 
-def _orthogonal_counts(field: Field, bases: np.ndarray, right: np.ndarray, out=None):
+def _orthogonal_counts(field: Field, bases: np.ndarray, right: np.ndarray, out):
     """For each candidate basis B in the stack, count vectors v with Bv = 0.
 
     ``right`` is ``fp_matrix(field, vectors.T)`` for the t vectors, built
     once by the caller.  Bv vanishes exactly when every F_p digit of it
-    does, so the product is taken one output digit at a time.  ``out`` is
-    an optional int64 scratch array of shape (rows, r, t) with
-    rows >= len(bases); each digit's products are written there instead
-    of into fresh memory.
+    does, so the product is taken one output digit at a time, each digit's
+    products written into ``out``, an int64 scratch array of shape
+    (rows, r, t) with rows >= len(bases).
     """
     c, t = len(bases), right.shape[1] // field.e
     left = to_digits(field, bases)
-    out = None if out is None else out[:c]
+    out = out[:c]
     for d in range(field.e):
         prods = np.matmul(left, right[:, d * t : (d + 1) * t], out=out)
         np.remainder(prods, field.p, out=prods)
@@ -198,57 +207,59 @@ def _search_context(field: Field, spec: ComplexSpec, max_enum=None) -> _SearchCo
         n=n,
         k=spec.m - kernel.dim,
         small=small,
-        small_is_union=not small_spec.complement,
+        small_outside=small_spec.complement != spec.complement,
         kernel_vectors=span_vectors(field, basis),
         max_enum=max_enum,
     )
 
 
 def _search(ctx: _SearchContext, r: int, threads: int = 1):
-    """Best f over valid candidates: (value, first basis in canonical order
-    attaining it, as an (r, m) array)."""
+    """d_r and its witness: (n - max |D meet H-perp| over the valid r-dim
+    H, the first H in canonical order attaining the max)."""
+    if not 1 <= r <= ctx.k:
+        raise ValueError(f"r must lie in 1..{ctx.k}, got {r}")
     field, spec = ctx.field, ctx.spec
     q, m = field.q, spec.m
     total = subspace_count(q, m, r, ctx.max_enum)
     right = ctx.small_fp
     per_h = q ** (m - r)
-    maximize = not spec.complement
-    # the zero vector always lands in the union side, never the complement
-    bound = per_h if maximize else 1
+    # the zero vector lies in every H-perp and never in a complement
+    bound = per_h - spec.complement
+    # per row: the scoring buffer, and the mask's two (t, m) products
+    step = chunk_rows(8 * (r * len(ctx.small) + 2 * len(ctx.kernel_vectors) * m))
     local = threading.local()
 
     def score(start):
-        """(best f, a copy of the first basis attaining it) over the valid
-        candidates of the chunk at start, or None when none is valid."""
-        chunk = subspace_bases_array(q, m, r, start, min(start + _CHUNK, total))
+        """(best |D meet H-perp|, a copy of the first basis attaining it)
+        over the valid candidates of the chunk at start, or None when none
+        is valid."""
+        chunk = subspace_bases_array(q, m, r, start, min(start + step, total))
         if not hasattr(local, "prods"):  # once per rank and thread
-            rows = min(_CHUNK, total)
-            local.prods = np.empty((rows, r, len(ctx.small)), dtype=np.int64)
-        counts = _orthogonal_counts(field, chunk, right, out=local.prods)
-        f = counts if ctx.small_is_union else per_h - counts
+            local.prods = np.empty((min(step, total), r, len(ctx.small)), dtype=np.int64)
+        counts = _orthogonal_counts(field, chunk, right, local.prods)
+        inside = per_h - counts if ctx.small_outside else counts
         valid = _valid_mask(field, chunk, ctx.kernel_vectors)
         if not valid.any():
             return None
-        vals = f[valid]
-        pos = int(np.argmax(vals)) if maximize else int(np.argmin(vals))
+        vals = inside[valid]
+        pos = int(np.argmax(vals))
         return int(vals[pos]), chunk[np.flatnonzero(valid)[pos]].copy()
 
     best = witness = None
 
     def absorb(found):
         nonlocal best, witness
-        if found is not None and (
-            best is None or (found[0] > best if maximize else found[0] < best)
-        ):
+        if found is not None and (best is None or found[0] > best):
             best, witness = found
         return best == bound
 
-    starts = iter(range(0, total, _CHUNK))
+    starts = iter(range(0, total, step))
     if threads <= 1:
         for s in starts:
             if absorb(score(s)):
                 break
     else:
+        threads = min(threads, os.cpu_count() or 1)  # each owns a buffer
         with ThreadPoolExecutor(max_workers=threads) as pool:
             # at most 2 x threads chunks in flight, absorbed in submission
             # order: the result matches the serial scan, and an early exit
@@ -262,11 +273,7 @@ def _search(ctx: _SearchContext, r: int, threads: int = 1):
                 s = next(starts, None)
                 if s is not None:
                     window.append(pool.submit(score, s))
-    if best is None:
-        raise ValueError(
-            f"no {r}-dim subspace avoids the kernel; r exceeds the dimension {ctx.k}"
-        )
-    return best, witness
+    return ctx.n - best, subspace_from_rref(witness)
 
 
 def ghw_prop1(field: Field, spec: ComplexSpec, r: int, threads: int = 1, max_enum=None):
@@ -275,20 +282,7 @@ def ghw_prop1(field: Field, spec: ComplexSpec, r: int, threads: int = 1, max_enu
     Returns (value, witness) where the witness is the first subspace in
     canonical order attaining the optimum.
     """
-    ctx = _search_context(field, spec, max_enum)
-    return _ghw_from_context(ctx, r, threads)
-
-
-def _ghw_from_context(ctx: _SearchContext, r: int, threads: int = 1):
-    if not 1 <= r <= ctx.k:
-        raise ValueError(f"r must lie in 1..{ctx.k}, got {r}")
-    best, basis = _search(ctx, r, threads)
-    q, m = ctx.field.q, ctx.spec.m
-    if ctx.spec.complement:
-        value = ctx.n - q ** (m - r) + best
-    else:
-        value = ctx.n - best
-    return value, subspace_from_rref(basis)
+    return _search(_search_context(field, spec, max_enum), r, threads)
 
 
 def hierarchy_prop1(
@@ -300,7 +294,7 @@ def hierarchy_prop1(
     ctx = _search_context(field, spec, max_enum)
     for r in range(1, ctx.k + 1):
         subspace_count(ctx.field.q, ctx.spec.m, r, ctx.max_enum)
-    found = [_ghw_from_context(ctx, r, threads) for r in range(1, ctx.k + 1)]
+    found = [_search(ctx, r, threads) for r in range(1, ctx.k + 1)]
     values = tuple(value for value, _ in found)
     return WeightHierarchy(
         spec=spec,

@@ -122,25 +122,13 @@ def rows_three_low_cross(q, m, a, t, prefix="T3:Table2"):
 
 
 def rows_three_high_cross(q, m, a, t, prefix="T3:Table3"):
-    """Covers t13 >= t23; six ranges with inclusive shared endpoints."""
+    """Covers t13 >= t23; six ranges with inclusive shared endpoints.
+    Rows 1, 2, 5 and 6 are Table 2's four rows, row 2 ending earlier."""
     (a1, a2, a3), (t12, t13, t23, t123) = a, t
-    n = _triple_n(q, a, t)
+    row1, row2, row5, row6 = rows_three_low_cross(q, m, a, t, prefix)
     return [
-        _Row(
-            f"{prefix}:row1",
-            1,
-            m - a2 - a3 + t23,
-            lambda r: q**a1 - q ** (m - r - a2 - a3 + t12 + t13 + t23 - t123),
-        ),
-        _Row(
-            f"{prefix}:row2",
-            m - a2 - a3 + t23,
-            m - a1 - a3 + t23,
-            lambda r: q**a1
-            + q**a2
-            - q ** (m - r - a3 + t23)
-            - q ** (t12 + t13 - t123),
-        ),
+        row1,
+        replace(row2, hi=m - a1 - a3 + t23),
         _Row(
             f"{prefix}:row3",
             m - a1 - a3 + t23,
@@ -156,18 +144,8 @@ def rows_three_high_cross(q, m, a, t, prefix="T3:Table3"):
             - q ** (t12 + t23 - t123)
             - q ** (m - r - a3 + t13),
         ),
-        _Row(
-            f"{prefix}:row5",
-            m - a3 - t12 + t123,
-            m - a3,
-            lambda r: q**a1
-            + q**a2
-            - q**t12
-            - q ** (m - r - a3 + t13)
-            - q ** (m - r - a3 + t23)
-            + q ** (m - r - a3 + t123),
-        ),
-        _Row(f"{prefix}:row6", m - a3, m, lambda r: n - q ** (m - r)),
+        replace(row5, prov=f"{prefix}:row5"),
+        replace(row6, prov=f"{prefix}:row6"),
     ]
 
 

@@ -14,6 +14,9 @@ Bases are never built a whole rank at once.  A small per-(q, m, r) layout
 records where each pivot set starts in that order, so any range of basis
 numbers can be filled directly; every caller walks a rank in ranges of at
 most ``_CHUNK`` rows, and only the most recent few ranges stay cached.
+Callers whose work per row grows with the input (the search's scoring
+and kernel mask, the oracle's codewords and gathers) size their ranges
+with ``chunk_rows``, so that work stays within ``_CHUNK_BYTES``.
 """
 
 from __future__ import annotations
@@ -31,6 +34,14 @@ from .field import Field, matmul
 # rows per candidate range: every walk over a rank's bases (search, oracle,
 # enumeration) asks for ranges of at most this many, which bounds their memory
 _CHUNK = 4096
+# bytes one range's per-row work may take; see chunk_rows
+_CHUNK_BYTES = 16 * 2**20
+
+
+def chunk_rows(row_bytes: int) -> int:
+    """Rows per range when each row costs ``row_bytes`` of scratch memory:
+    at most ``_CHUNK`` rows and ``_CHUNK_BYTES`` bytes, and at least one row."""
+    return max(1, min(_CHUNK, _CHUNK_BYTES // max(1, row_bytes)))
 
 
 @dataclass(frozen=True)

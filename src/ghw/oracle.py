@@ -13,8 +13,8 @@ full-rank generator, once, and keeps the supports of those codewords in
 a table packed into 64-bit words; the codewords come from
 ``field.matmul``.  A subcode then costs a lookup of its r rows, an OR
 over them and a popcount.  The table is built, and subcodes are taken,
-in blocks sized by bytes, so the memory of a block does not grow with
-the code length.
+in blocks of ``linalg.chunk_rows`` rows, so the memory of a block stays
+within ``linalg._CHUNK_BYTES`` whatever the code length.
 
 The avoidance oracle answers the same question as the paired-extension
 construction: the largest dimension of a subspace meeting each of the
@@ -35,6 +35,7 @@ from .field import Field, matmul
 from .linalg import (
     _CHUNK,
     Subspace,
+    chunk_rows,
     gaussian_binomial,
     rref,
     span_vectors,
@@ -42,11 +43,6 @@ from .linalg import (
     subspace_count,
     subspace_from_vectors,
 )
-
-# bytes of the int64 codewords of one block while the support table is
-# built, and of the table rows one chunk of subcodes gathers, so neither
-# grows with the code length
-_CHUNK_BYTES = 16 * 2**20
 
 
 @lru_cache(maxsize=1)
@@ -70,7 +66,7 @@ def _row_supports(code: LinearCode) -> np.ndarray:
     nbytes = -(-code.n // 64) * 8
     table = np.zeros((total, nbytes), dtype=np.uint8)
     # matmul holds two (c, n) int64 arrays: the product and one digit
-    step = max(1, min(_CHUNK, _CHUNK_BYTES // (2 * code.n * 8)))
+    step = chunk_rows(16 * code.n)
     for s in range(0, total, step):
         stop = min(s + step, total)
         messages = subspace_bases_array(field.q, code.k, 1, s, stop)[:, 0]
@@ -92,7 +88,7 @@ def ghw_definitional(code: LinearCode, r: int, max_enum=None) -> int:
     # 1-dim subspace number c - q^(k-1-p) + sum_{i<p} q^(k-1-i)
     weights = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
     offsets = np.concatenate(([0], np.cumsum(weights)[:-1])) - weights
-    step = max(1, min(_CHUNK, _CHUNK_BYTES // (r * table.shape[1] * 8)))
+    step = chunk_rows(8 * r * table.shape[1])  # the gathered (c, r, words)
     best = None
     for s in range(0, total, step):
         chunk = subspace_bases_array(q, k, r, s, min(s + step, total))

@@ -224,6 +224,15 @@ def test_member_code_overflow_exits_three(capsys):
     assert err == "error: member code 10806813741383936712 does not fit in 64 bits\n"
 
 
+def test_scanned_side_expansion_is_capped(capsys):
+    """The scanned side's F_p block expansion (46 vectors x 3 coordinates x
+    4^2 digit pairs over GF(16)) counts against the enumeration cap."""
+    argv = ["hierarchy", "--method", "brute", "--q", "16", "--m", "3", "--sets", "1;2;3"]
+    assert cli.main(argv + ["--max-enum", "2000"]) == 3
+    assert "refusing to enumerate 2208 F_p entries of the scanned side" in capsys.readouterr().err
+    assert cli.main(argv + ["--max-enum", "2208"]) == 0
+
+
 def test_cap_environment_variable(capsys, monkeypatch):
     monkeypatch.setenv("GHW_MAX_ENUM", "2")
     argv = ["hierarchy", "--q", "2", "--m", "4", "--sets", "1,2,3,4", "--method", "brute"]

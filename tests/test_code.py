@@ -1,8 +1,10 @@
 import gc
 import hashlib
+import os
 import random
+import threading
 import tracemalloc
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import combinations
 
 import numpy as np
@@ -20,6 +22,7 @@ from ghw.config import ResourceCapError
 from ghw.field import field_new
 from ghw.linalg import (
     _CHUNK,
+    _CHUNK_BYTES,
     enumerate_subspaces,
     gaussian_binomial,
     rref,
@@ -317,3 +320,53 @@ def test_search_memory_is_bounded_by_the_chunk():
         tracemalloc.stop()
     assert held < cache_bytes + 4 * 2**20, held
     assert peak < 40 * 2**20, peak
+
+
+def _scoring_calls(monkeypatch, record):
+    """Route every scoring call through record(bases, out) first."""
+
+    def counting(field, bases, right, out):
+        record(bases, out)
+        return _orthogonal_counts(field, bases, right, out)
+
+    monkeypatch.setattr("ghw.code._orthogonal_counts", counting)
+
+
+@pytest.mark.parametrize(
+    "field, m, sets, complement, rows",
+    [
+        (F3, 7, [[1, 2, 3], [4, 5, 6]], True, [1093, 99463, 20480, 4096, 4096, 1093, 1]),
+        (F2, 8, [[1, 2, 3, 4], [4, 5, 6, 7, 8]], False, [255, 10795, 4096, 4096, 4096, 4096, 255, 1]),
+    ],
+    ids=["q3m7-complement", "q2m8"],
+)
+def test_early_exit_rows_are_pinned(monkeypatch, field, m, sets, complement, rows):
+    """Rows scored per rank before the early exit.  A complement bound off
+    by one leaves every weight unchanged but scans ranks 3-5 in full."""
+    scored = Counter()
+    _scoring_calls(monkeypatch, lambda bases, out: scored.update({bases.shape[1]: len(bases)}))
+    hierarchy_prop1(field, normalize(m, sets, complement))
+    assert [scored[r] for r in sorted(scored)] == rows
+
+
+def test_threads_are_clamped_to_the_cpus(monkeypatch):
+    """Each scoring thread owns a buffer, so no rank starts more threads
+    than there are CPUs, whatever --threads asks for."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    idents = defaultdict(set)
+    _scoring_calls(monkeypatch, lambda bases, out: idents[bases.shape[1]].add(threading.get_ident()))
+    h = hierarchy_prop1(F2, normalize(8, [[1, 2, 3], [3, 4, 5]], False), threads=8)
+    assert h.values == (4, 6, 10, 12, 13)
+    assert sorted(idents) == [1, 2, 3, 4, 5]
+    assert all(len(seen) <= 2 for seen in idents.values()), idents
+
+
+def test_search_chunks_are_sized_by_bytes(monkeypatch):
+    """Over GF(65521) at m = 2 the scanned side has 131,041 vectors, so a
+    4096-row scoring buffer would take 4 GiB; chunks of 16 rows keep it
+    within _CHUNK_BYTES."""
+    buffers = []
+    _scoring_calls(monkeypatch, lambda bases, out: buffers.append(out.nbytes))
+    h = hierarchy_prop1(field_new(65521), normalize(2, [[1], [2]], False))
+    assert h.values == (65520, 131040)
+    assert buffers and max(buffers) <= _CHUNK_BYTES

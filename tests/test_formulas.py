@@ -166,6 +166,77 @@ def test_three_generator_dispatch_is_pinned():
     assert digest == _TRIPLE_DISPATCH_SHA256
 
 
+def _dispatch_digest(cases):
+    """sha256 over claimant keys, values and provenance (or the reason no
+    closed form applies) of each (q, spec), one repr line per case, and
+    the set of claimant keys seen."""
+    lines = []
+    seen = set()
+    for q, spec in cases:
+        keys = []
+        try:
+            keys = _table_ids(q, spec)
+            h = hierarchy_formula(q, spec)
+            outcome = (h.values, h.provenance)
+        except NotApplicable as exc:
+            outcome = exc.reason
+        seen.update(keys)
+        lines.append(repr((q, spec.m, spec.sets, spec.complement, keys, outcome)))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest(), seen
+
+
+def _set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+        yield [[first]] + part
+
+
+# sha256 of the records below as the hand-transcribed tables produced them
+_SMALL_FAMILY_DISPATCH_SHA256 = "8b87aefe622133bdcd53fd37f3ce4463eac19e2ff7bf14af5721560224c075ad"
+_DISJOINT_DISPATCH_SHA256 = "b6e2725e2060449afb3e705a76f125b685167c5a0c794218f787f9ea8154063c"
+
+
+def test_one_and_two_generator_dispatch_is_pinned():
+    """Every antichain of one or two generators with m <= 6, both flags,
+    over GF(2) and GF(3): T1, T2, T4-T7 and each refusal reason."""
+    cases = []
+    for m in range(1, 7):
+        subsets = [c for k in range(1, m + 1) for c in combinations(range(1, m + 1), k)]
+        families = [(s,) for s in subsets] + [
+            (x, y)
+            for x, y in combinations(subsets, 2)
+            if not (set(x) <= set(y) or set(y) <= set(x))
+        ]
+        for sets in families:
+            for complement in (False, True):
+                spec = normalize(m, sets, complement)
+                cases += [(q, spec) for q in (2, 3)]
+    digest, seen = _dispatch_digest(cases)
+    assert seen == {"T1", "T2:Table1", "T4:Table4", "T5:Table5", "T6:Table6", "T7:Table7"}
+    assert digest == _SMALL_FAMILY_DISPATCH_SHA256
+
+
+def test_disjoint_cover_dispatch_is_pinned():
+    """Every partition of [m] into at least two generators with m <= 7,
+    both flags, over GF(2) and GF(3): T4 and T7 beside the overlap tables."""
+    cases = []
+    for m in range(2, 8):
+        for part in _set_partitions(list(range(1, m + 1))):
+            if len(part) < 2:
+                continue
+            for complement in (False, True):
+                spec = normalize(m, part, complement)
+                cases += [(q, spec) for q in (2, 3)]
+    digest, seen = _dispatch_digest(cases)
+    assert {"T4:Table4", "T7:Table7"} <= seen
+    assert digest == _DISJOINT_DISPATCH_SHA256
+
+
 # ---- values against the search -------------------------------------------
 
 

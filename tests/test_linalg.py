@@ -8,6 +8,9 @@ from hypothesis import given, settings, strategies as st
 from ghw.config import ResourceCapError
 from ghw.field import field_new
 from ghw.linalg import (
+    _CHUNK,
+    _CHUNK_BYTES,
+    chunk_rows,
     dual,
     enumerate_subspaces,
     gaussian_binomial,
@@ -192,3 +195,10 @@ def test_bases_array_ranges_split_and_are_frozen():
                     piece[0, 0, 0] = 1
     with pytest.raises(ValueError):
         subspace_bases_array(2, 4, 2, 0, gaussian_binomial(4, 2, 2) + 1)
+
+
+def test_chunk_rows_bound_rows_and_bytes():
+    assert chunk_rows(0) == chunk_rows(8) == _CHUNK  # an empty scanned side
+    assert chunk_rows(8 * 530) == 3956  # a rank-2 scoring buffer over 265 vectors
+    assert chunk_rows(8 * 131041) == 16
+    assert chunk_rows(_CHUNK_BYTES + 1) == 1
