@@ -15,7 +15,7 @@ from dataclasses import replace
 from time import perf_counter
 
 from .code import _search, _search_context, hierarchy_prop1
-from .config import DEFAULT_MAX_ENUM, ResourceCapError
+from .config import DEFAULT_MAX_ENUM, Q_CAP, ResourceCapError, resolve_max_enum
 from .field import Field, field_new
 from .formulas import NotApplicable, hierarchy_formula
 from .linalg import gaussian_binomial
@@ -44,17 +44,27 @@ def _prime_power(n: int):
 
 
 def _resolve_field(args) -> Field:
+    if args.q > Q_CAP:  # before factoring, which trial-divides up to sqrt(q)
+        raise CLIError(f"--q {args.q} exceeds the supported cap {Q_CAP}")
     pe = _prime_power(args.q)
     if pe is None:
         raise CLIError(f"--q {args.q} is not a prime power")
     p, e = pe
-    if args.e is None:
+    if args.e is not None and args.e != e:
+        if e != 1:
+            raise CLIError(f"--q {args.q} with --e {args.e} is ambiguous; pass the prime")
+        e = args.e  # --q gave the prime
+    try:
         return field_new(p, e)
-    if args.e == e:
-        return field_new(p, e)  # --q gave the full field size
-    if e == 1:
-        return field_new(p, args.e)  # --q gave the prime
-    raise CLIError(f"--q {args.q} with --e {args.e} is ambiguous; pass the prime")
+    except ValueError as exc:
+        raise CLIError(str(exc)) from exc
+
+
+def _resolve_cap(explicit=None) -> int:
+    try:
+        return resolve_max_enum(explicit)
+    except ValueError as exc:  # a malformed GHW_MAX_ENUM
+        raise CLIError(str(exc)) from exc
 
 
 def _resolve_spec(args, verbose_to=None):
@@ -261,9 +271,11 @@ def cmd_count(args) -> int:
                 line += f"  est_search_ops={ops}"
             print(line)
         print(f"total candidates: {total}")
-        if total > DEFAULT_MAX_ENUM:
+        cap = _resolve_cap()
+        over = [str(r) for r, count, _ in rows if count > cap]
+        if over:  # the cap applies to each rank's count
             print(
-                f"note: exceeds the default enumeration cap {DEFAULT_MAX_ENUM}; "
+                f"note: over the enumeration cap {cap} at r = {', '.join(over)}; "
                 "a search needs --max-enum or GHW_MAX_ENUM raised"
             )
     return 0
@@ -353,6 +365,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _resolve_cap(getattr(args, "max_enum", None))
         return args.func(args)
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)

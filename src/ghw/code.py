@@ -16,17 +16,13 @@ D is the union U of coordinate subspaces, or its complement under the
 complement flag.  The search counts whichever of D and its complement in
 F^m is smaller; since |H-perp| = q^(m-r), either count gives
 |D meet H-perp|.  It never constructs H-perp itself: v lies in H-perp
-exactly when B v = 0 for the basis matrix B of H, which batches into
-integer matmuls.  Every field takes the same path: entries become their
-F_p digits, the right operand its block expansion over F_p (see
-field.py), and B v = 0 is checked one output digit at a time, so a
-prime field is the case of a single digit.
+exactly when B v = 0 for the basis matrix B of H, so a chunk of
+candidate bases is scored by one ``field.matmul`` against the scanned
+side, the same GF(q) product the kernel mask and the oracle use.
 
 Each rank is scanned in canonical order, one chunk of candidate bases at
-a time, each chunk built on demand and scored into a product buffer
-allocated once per rank (and thread); the kernel mask calls
-``field.matmul``.  Chunks hold ``linalg.chunk_rows`` rows, so the
-scoring buffer and the mask's products stay within
+a time, each chunk built on demand.  Chunks hold ``linalg.chunk_rows``
+rows, so the products of scoring and of the kernel mask stay within
 ``linalg._CHUNK_BYTES`` however large the scanned side.  A chunk reduces
 to its best value and a copy of its first optimal basis, so nothing of
 the rank outlives the scan, and the scan stops at the first chunk that
@@ -38,18 +34,16 @@ gives the serial result and witness.
 from __future__ import annotations
 
 import os
-import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
-from functools import cached_property
 from itertools import islice
 
 import numpy as np
 
 from .config import check_cap
-from .field import Field, fp_matrix, matmul, to_digits
+from .field import Field, matmul
 from .linalg import (
     Subspace,
     chunk_rows,
@@ -137,37 +131,11 @@ class _SearchContext:
     kernel_vectors: np.ndarray  # nonzero vectors of the kernel, (t, m)
     max_enum: int | None = None
 
-    @cached_property
-    def small_fp(self) -> np.ndarray:
-        """fp_matrix(field, small.T), (m e, e Ns): built, if its entries
-        pass the cap, at the first rank that passes its own cap check,
-        then shared by every chunk and rank."""
-        check_cap(
-            self.small.size * self.field.e**2,
-            self.max_enum,
-            what="F_p entries of the scanned side",
-        )
-        return fp_matrix(self.field, self.small.T)
 
-
-def _orthogonal_counts(field: Field, bases: np.ndarray, right: np.ndarray, out):
-    """For each candidate basis B in the stack, count vectors v with Bv = 0.
-
-    ``right`` is ``fp_matrix(field, vectors.T)`` for the t vectors, built
-    once by the caller.  Bv vanishes exactly when every F_p digit of it
-    does, so the product is taken one output digit at a time, each digit's
-    products written into ``out``, an int64 scratch array of shape
-    (rows, r, t) with rows >= len(bases).
-    """
-    c, t = len(bases), right.shape[1] // field.e
-    left = to_digits(field, bases)
-    out = out[:c]
-    for d in range(field.e):
-        prods = np.matmul(left, right[:, d * t : (d + 1) * t], out=out)
-        np.remainder(prods, field.p, out=prods)
-        hit = np.any(prods, axis=1)
-        nonzero = hit if d == 0 else nonzero | hit
-    return t - nonzero.sum(axis=1)
+def _orthogonal_counts(field: Field, bases: np.ndarray, vectors: np.ndarray):
+    """For each candidate basis B in the stack, count the rows v of
+    ``vectors`` with Bv = 0."""
+    return len(vectors) - np.any(matmul(field, bases, vectors.T), axis=1).sum(axis=1)
 
 
 def _valid_mask(field: Field, bases: np.ndarray, kernel_vectors: np.ndarray):
@@ -221,22 +189,24 @@ def _search(ctx: _SearchContext, r: int, threads: int = 1):
     field, spec = ctx.field, ctx.spec
     q, m = field.q, spec.m
     total = subspace_count(q, m, r, ctx.max_enum)
-    right = ctx.small_fp
+    # each chunk's product expands the scanned side to |side| m e^2 F_p entries
+    check_cap(
+        ctx.small.size * field.e**2, ctx.max_enum, what="F_p entries of the scanned side"
+    )
     per_h = q ** (m - r)
     # the zero vector lies in every H-perp and never in a complement
     bound = per_h - spec.complement
-    # per row: the scoring buffer, and the mask's two (t, m) products
-    step = chunk_rows(8 * (r * len(ctx.small) + 2 * len(ctx.kernel_vectors) * m))
-    local = threading.local()
+    # per row: scoring's product and digit, and the mask's two (t, m) products
+    step = chunk_rows(
+        8 * (min(field.e, 2) * r * len(ctx.small) + 2 * len(ctx.kernel_vectors) * m)
+    )
 
     def score(start):
         """(best |D meet H-perp|, a copy of the first basis attaining it)
         over the valid candidates of the chunk at start, or None when none
         is valid."""
         chunk = subspace_bases_array(q, m, r, start, min(start + step, total))
-        if not hasattr(local, "prods"):  # once per rank and thread
-            local.prods = np.empty((min(step, total), r, len(ctx.small)), dtype=np.int64)
-        counts = _orthogonal_counts(field, chunk, right, local.prods)
+        counts = _orthogonal_counts(field, chunk, ctx.small)
         inside = per_h - counts if ctx.small_outside else counts
         valid = _valid_mask(field, chunk, ctx.kernel_vectors)
         if not valid.any():
@@ -254,12 +224,13 @@ def _search(ctx: _SearchContext, r: int, threads: int = 1):
         return best == bound
 
     starts = iter(range(0, total, step))
+    if threads > 1:
+        threads = min(threads, os.cpu_count() or 1)
     if threads <= 1:
         for s in starts:
             if absorb(score(s)):
                 break
     else:
-        threads = min(threads, os.cpu_count() or 1)  # each owns a buffer
         with ThreadPoolExecutor(max_workers=threads) as pool:
             # at most 2 x threads chunks in flight, absorbed in submission
             # order: the result matches the serial scan, and an early exit

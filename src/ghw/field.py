@@ -11,8 +11,9 @@ constant term upward, so element encodings are reproducible across runs.
 GF(4) gets x^2 + x + 1.  For e = 1 the modulus is the degree-1 polynomial
 x, under which "residue polynomial" degenerates to the residue mod p.
 
-The vector routines of the search and the oracle share one arithmetic
-path for every q.  An element is its e digits over F_p, and multiplying
+The vector routines share one arithmetic path for every q: scoring, the
+kernel mask and the oracle each call ``matmul``, the package's only
+product over GF(q).  An element is its e digits over F_p, and multiplying
 by a fixed element is its e-by-e matrix over F_p (the regular
 representation), so a product of code matrices over GF(q) is an integer
 matmul of digits against the block-expanded right operand, reduced mod p,
@@ -103,12 +104,11 @@ class Field:
             raise ValueError(f"p must be prime, got {p}")
         if e < 1:
             raise ValueError(f"extension degree must be >= 1, got {e}")
-        q = p**e
-        if q > Q_CAP:
-            raise ValueError(f"q = {q} exceeds the supported cap {Q_CAP}")
+        if p ** min(e, Q_CAP.bit_length()) > Q_CAP:  # no huge power for a huge e
+            raise ValueError(f"q = {p}^{e} exceeds the supported cap {Q_CAP}")
         self.p = p
         self.e = e
-        self.q = q
+        self.q = p**e
         self.modulus = smallest_irreducible(p, e)
 
     def __repr__(self):
@@ -252,13 +252,15 @@ def fp_matrix(field: Field, b: np.ndarray) -> np.ndarray:
 def matmul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b over GF(q) on codes; a is (..., s), b is (..., s, t), batch
     dimensions broadcast.  Taken one output digit at a time: digit d,
-    reduced mod p, is added at weight p^d into the first digit's array."""
+    reduced mod p into one reused array, is added at weight p^d into the
+    first digit's, so a call holds the result and at most one digit."""
     left, right = to_digits(field, a), fp_matrix(field, b)
     p, t = field.p, b.shape[-1]
     out = left @ right[..., :t]
     out %= p
+    digit = np.empty_like(out) if field.e > 1 else None
     for d in range(1, field.e):
-        digit = left @ right[..., d * t : (d + 1) * t]
+        np.matmul(left, right[..., d * t : (d + 1) * t], out=digit)
         digit %= p
         digit *= p**d
         out += digit

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -46,6 +47,36 @@ def test_prime_with_degree_builds_extension(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert (payload["q"], payload["e"]) == (9, 2)
     assert (payload["n"], payload["k"], payload["d1"]) == (81, 2, 72)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["params", "--q", "65537", "--m", "2", "--sets", "1"],
+        ["params", "--q", "2", "--e", "17", "--m", "2", "--sets", "1"],
+        ["params", "--q", "2", "--e", "0", "--m", "2", "--sets", "1"],
+        ["params", "--q", "2", "--e", str(10**9), "--m", "2", "--sets", "1"],
+        ["count-subspaces", "--q", "65537", "--m", "2"],
+        ["params", "--q", str(2**61 - 1), "--m", "2", "--sets", "1"],
+    ],
+    ids=["q-over-cap", "e-over-cap", "e-zero", "e-huge", "count-q-over-cap", "q-mersenne-61"],
+)
+def test_field_errors_exit_two(capsys, argv):
+    """A field ghw does not support is an input error, refused before
+    factoring: trial division up to the root of 2^61 - 1 takes far longer
+    than a second."""
+    start = perf_counter()
+    assert cli.main(argv) == 2
+    assert perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_malformed_cap_variable_exits_two(capsys, monkeypatch):
+    monkeypatch.setenv("GHW_MAX_ENUM", "lots")
+    assert cli.main(["count-subspaces", "--q", "2", "--m", "3"]) == 2
+    assert cli.main(["hierarchy", "--q", "2", "--m", "3", "--sets", "1,2,3"]) == 2
+    assert capsys.readouterr().err.count("error: GHW_MAX_ENUM must be an integer") == 2
 
 
 def test_rejects_malformed_sets(capsys):
@@ -190,6 +221,19 @@ def test_count_subspaces_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["rows"] == [{"r": 2, "count": 35, "search_ops": 35 * 4 * 4}]
     assert payload["total"] == 35
+
+
+def test_count_subspaces_notes_the_ranks_over_the_cap(capsys, monkeypatch):
+    """The cap applies to each rank's count, not to their sum."""
+    monkeypatch.delenv("GHW_MAX_ENUM", raising=False)
+    assert cli.main(["count-subspaces", "--q", "13", "--m", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "total candidates: 10581823" in out and "note:" not in out
+    assert cli.main(["count-subspaces", "--q", "2", "--m", "10"]) == 0
+    assert "note: over the enumeration cap 10000000 at r = 4, 5, 6;" in capsys.readouterr().out
+    monkeypatch.setenv("GHW_MAX_ENUM", "5000000")
+    assert cli.main(["count-subspaces", "--q", "13", "--m", "5"]) == 0
+    assert "note: over the enumeration cap 5000000 at r = 2, 3;" in capsys.readouterr().out
 
 
 # ---- exit codes under failure ----------------------------------------------

@@ -5,7 +5,7 @@ import random
 import threading
 import tracemalloc
 from collections import Counter, defaultdict
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -323,11 +323,11 @@ def test_search_memory_is_bounded_by_the_chunk():
 
 
 def _scoring_calls(monkeypatch, record):
-    """Route every scoring call through record(bases, out) first."""
+    """Route every scoring call through record(bases, vectors) first."""
 
-    def counting(field, bases, right, out):
-        record(bases, out)
-        return _orthogonal_counts(field, bases, right, out)
+    def counting(field, bases, vectors):
+        record(bases, vectors)
+        return _orthogonal_counts(field, bases, vectors)
 
     monkeypatch.setattr("ghw.code._orthogonal_counts", counting)
 
@@ -350,23 +350,75 @@ def test_early_exit_rows_are_pinned(monkeypatch, field, m, sets, complement, row
 
 
 def test_threads_are_clamped_to_the_cpus(monkeypatch):
-    """Each scoring thread owns a buffer, so no rank starts more threads
-    than there are CPUs, whatever --threads asks for."""
+    """Threads past the CPUs only add chunks in flight, so no rank starts
+    more threads than there are CPUs, whatever --threads asks for."""
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     idents = defaultdict(set)
-    _scoring_calls(monkeypatch, lambda bases, out: idents[bases.shape[1]].add(threading.get_ident()))
+    _scoring_calls(monkeypatch, lambda bases, _: idents[bases.shape[1]].add(threading.get_ident()))
     h = hierarchy_prop1(F2, normalize(8, [[1, 2, 3], [3, 4, 5]], False), threads=8)
     assert h.values == (4, 6, 10, 12, 13)
     assert sorted(idents) == [1, 2, 3, 4, 5]
     assert all(len(seen) <= 2 for seen in idents.values()), idents
 
 
-def test_search_chunks_are_sized_by_bytes(monkeypatch):
+def test_one_cpu_takes_the_serial_path(monkeypatch):
+    """The thread count is clamped before the path is chosen, so on one CPU
+    --threads 4 runs the serial loop and starts no pool; --threads 1 never
+    asks for the CPU count."""
+    spec = normalize(5, [[1, 2, 3], [3, 4, 5]], False)
+    serial = hierarchy_prop1(F2, spec)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("unexpected call")
+
+    monkeypatch.setattr("ghw.code.ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(os, "cpu_count", refuse)
+    assert hierarchy_prop1(F2, spec, threads=1) == serial
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    clamped = hierarchy_prop1(F2, spec, threads=4)
+    assert clamped == serial
+    assert clamped.witnesses == serial.witnesses
+
+
+def test_search_chunks_are_sized_by_bytes():
     """Over GF(65521) at m = 2 the scanned side has 131,041 vectors, so a
-    4096-row scoring buffer would take 4 GiB; chunks of 16 rows keep it
-    within _CHUNK_BYTES."""
-    buffers = []
-    _scoring_calls(monkeypatch, lambda bases, out: buffers.append(out.nbytes))
-    h = hierarchy_prop1(field_new(65521), normalize(2, [[1], [2]], False))
+    4096-row chunk would hold 4 GiB of products; chunks sized by bytes keep
+    the whole search near _CHUNK_BYTES (it peaks at about 20 MiB)."""
+    field = field_new(65521)
+    spec = normalize(2, [[1], [2]], False)
+    tracemalloc.start()
+    try:
+        h = hierarchy_prop1(field, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert h.values == (65520, 131040)
-    assert buffers and max(buffers) <= _CHUNK_BYTES
+    assert peak < 1.5 * _CHUNK_BYTES, peak
+
+
+@pytest.mark.parametrize(
+    "field",
+    [F2, F3, F4, field_new(2, 3), field_new(3, 2)],
+    ids=["q2", "q3", "q4", "q8", "q9"],
+)
+def test_orthogonal_counts_match_scalar_dot_products(field):
+    """Every candidate basis of every rank at m <= 3, scored against all of
+    F_q^m: the count of v with B v = 0, taken from scalar Field arithmetic."""
+    q = field.q
+    mul = [[field.mul(a, b) for b in range(q)] for a in range(q)]
+
+    def dot(row, v):
+        total = 0
+        for a, b in zip(row, v):
+            total = field.add(total, mul[a][b])
+        return total
+
+    for m in range(1, 4):
+        vectors = np.array(list(product(range(q), repeat=m)), dtype=np.int64)
+        for r in range(1, m + 1):
+            bases = subspace_bases_array(q, m, r, 0, gaussian_binomial(m, r, q))
+            want = [
+                sum(all(dot(row, v) == 0 for row in basis) for v in vectors.tolist())
+                for basis in bases.tolist()
+            ]
+            assert _orthogonal_counts(field, bases, vectors).tolist() == want, (m, r)

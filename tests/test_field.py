@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -159,3 +161,22 @@ def test_matmul_with_a_batched_right_operand_matches_scalar_sums(p, e):
     shared = matmul(f, a[0], b)
     for i in range(3):
         assert np.array_equal(shared[i], matmul(f, a[0], b[i]))
+
+
+@pytest.mark.parametrize("p,e", [(2, 4), (3, 6)], ids=["q16", "q729"])
+def test_matmul_holds_the_result_and_one_digit(p, e):
+    """Beyond its result a call holds one reused digit array and the
+    operands' F_p forms, so its peak stays within 2.5 result sizes; a
+    fresh array per digit peaks above 3 at these degrees."""
+    f = field_new(p, e)
+    _op_tables(p, e)  # the cached tables are not part of the call
+    rng = np.random.default_rng(e)
+    a = rng.integers(0, f.q, (256, 2, 3))
+    b = rng.integers(0, f.q, (3, 4096))
+    tracemalloc.start()
+    try:
+        out = matmul(f, a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * out.nbytes, peak / out.nbytes
