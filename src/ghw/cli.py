@@ -67,12 +67,14 @@ def _resolve_cap(explicit=None) -> int:
         raise CLIError(str(exc)) from exc
 
 
-def _resolve_spec(args, verbose_to=None):
+def _resolve_spec(args, field: Field, verbose_to=None):
     try:
         raw = parse_sets(args.sets)
         spec = normalize(args.m, raw, args.complement)
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
+    if cardinality(spec, field.q) == 0:
+        raise CLIError(f"defining set {spec.describe()} is empty")
     if verbose_to is not None:
         _, dropped = normalize_sets(raw)
         for s in dropped:
@@ -104,7 +106,7 @@ def _print_hierarchy_text(field, spec, h, elapsed_ms):
 
 def cmd_params(args) -> int:
     field = _resolve_field(args)
-    spec = _resolve_spec(args, sys.stderr if args.verbose else None)
+    spec = _resolve_spec(args, field, sys.stderr if args.verbose else None)
     start = perf_counter()
     try:
         h = hierarchy_formula(field.q, spec)
@@ -132,7 +134,7 @@ def cmd_params(args) -> int:
 
 def cmd_hierarchy(args) -> int:
     field = _resolve_field(args)
-    spec = _resolve_spec(args, sys.stderr if args.verbose else None)
+    spec = _resolve_spec(args, field, sys.stderr if args.verbose else None)
     start = perf_counter()
     if args.method == "formula":
         h = hierarchy_formula(field.q, spec)
@@ -281,10 +283,21 @@ def cmd_count(args) -> int:
     return 0
 
 
+def _positive(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_field_options(sub, need_sets=True):
     sub.add_argument("--q", type=int, required=True, help="field size, or prime with --e")
     sub.add_argument("--e", type=int, default=None, help="extension degree over the prime")
-    sub.add_argument("--m", type=int, required=True, help="ambient dimension")
+    sub.add_argument("--m", type=_positive, required=True, help="ambient dimension")
     if need_sets:
         sub.add_argument(
             "--sets",
@@ -299,7 +312,7 @@ def _add_field_options(sub, need_sets=True):
 
 
 def _add_run_options(sub):
-    sub.add_argument("--threads", type=int, default=1)
+    sub.add_argument("--threads", type=_positive, default=1)
     sub.add_argument(
         "--max-enum",
         type=int,
@@ -340,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the built-in reference suite (pinned hierarchies, three methods)",
     )
     p.add_argument("--only", default=None, help="substring filter on case ids")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive, default=1)
     p.add_argument("--max-enum", type=int, default=None)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_verify_paper)

@@ -29,6 +29,27 @@ the rank outlives the scan, and the scan stops at the first chunk that
 reaches the bound.  With threads (never more than the CPUs), at most
 2 x threads chunks are in flight and they are absorbed in order, which
 gives the serial result and witness.
+
+Over q > 2 only one basis per column orbit of each chunk is scored and
+masked.  D is a union of coordinate subspaces or its complement, and K
+is a coordinate subspace, so both are fixed by every coordinate scaling
+L in (F_q^*)^m; since (HL)-perp = L^-1 H-perp, the map H -> HL changes
+neither |D meet H-perp| nor whether H meets K.  The representative kept
+is the canonical RREF basis whose every column has element code 1 as its
+first nonzero entry (``_orbit_representatives``):
+
+- Scaling each non-pivot column by the inverse of its first nonzero
+  entry leaves the pivot columns alone, so the RREF form survives and
+  every orbit has a representative.
+- In row-major cell order the first cell that scaling changes is some
+  column's first nonzero entry, and it drops from a code >= 2 to 1, so
+  rep(H) <= H in canonical order.
+- Hence the first optimal H in canonical order is a representative:
+  values, witnesses and the chunk where the early exit fires are those
+  of the full scan.  Chunk boundaries, ``chunk_rows`` and the cap checks
+  still count every generated candidate; only the rows scored and
+  masked shrink, by up to (q-1)^(m-r).  At q = 2 every basis is its own
+  representative, so nothing is filtered.
 """
 
 from __future__ import annotations
@@ -138,6 +159,15 @@ def _orthogonal_counts(field: Field, bases: np.ndarray, vectors: np.ndarray):
     return len(vectors) - np.any(matmul(field, bases, vectors.T), axis=1).sum(axis=1)
 
 
+def _orbit_representatives(bases: np.ndarray):
+    """True where a canonical RREF basis represents its column orbit: in
+    every column the first nonzero entry is element code 1 (pivot columns
+    always are, and an all-zero column passes)."""
+    first = np.argmax(bases != 0, axis=1)  # (c, m): row of each column's lead
+    lead = np.take_along_axis(bases, first[:, None, :], axis=1)[:, 0, :]
+    return np.all(lead <= 1, axis=1)
+
+
 def _valid_mask(field: Field, bases: np.ndarray, kernel_vectors: np.ndarray):
     """True where the candidate meets the kernel only in zero.
 
@@ -206,6 +236,8 @@ def _search(ctx: _SearchContext, r: int, threads: int = 1):
         over the valid candidates of the chunk at start, or None when none
         is valid."""
         chunk = subspace_bases_array(q, m, r, start, min(start + step, total))
+        if q > 2:  # one basis per column orbit; see the module docstring
+            chunk = chunk[_orbit_representatives(chunk)]
         counts = _orthogonal_counts(field, chunk, ctx.small)
         inside = per_h - counts if ctx.small_outside else counts
         valid = _valid_mask(field, chunk, ctx.kernel_vectors)

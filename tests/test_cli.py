@@ -85,6 +85,37 @@ def test_rejects_malformed_sets(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["params"], ["hierarchy", "--method", "brute"]],
+    ids=["params", "hierarchy-brute"],
+)
+def test_empty_defining_set_exits_two(capsys, command):
+    """A generator covering every coordinate leaves the complement empty:
+    an input error, reported before any search."""
+    argv = command + ["--q", "3", "--m", "3", "--sets", "1,2,3", "--complement"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: defining set <1,2,3>^c in F^3 is empty\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count-subspaces", "--q", "2", "--m", "-1"],
+        ["count-subspaces", "--q", "2", "--m", "0"],
+        ["hierarchy", "--q", "2", "--m", "3", "--sets", "1", "--threads", "0"],
+        ["params", "--q", "2", "--m", "3", "--sets", "1", "--threads", "-2"],
+        ["verify-paper", "--threads", "0"],
+    ],
+    ids=["m-negative", "m-zero", "hierarchy-threads-zero", "params-threads-negative", "verify-threads-zero"],
+)
+def test_counts_below_one_exit_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "must be at least 1, got" in capsys.readouterr().err
+
+
 def test_missing_arguments_exit_like_argparse():
     with pytest.raises(SystemExit) as exc:
         cli.main(["hierarchy", "--q", "2"])

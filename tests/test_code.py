@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import math
 import os
 import random
 import threading
@@ -12,7 +13,9 @@ import pytest
 
 from ghw.code import (
     WeightHierarchy,
+    _orbit_representatives,
     _orthogonal_counts,
+    _search_context,
     _valid_mask,
     build_code,
     ghw_prop1,
@@ -23,6 +26,7 @@ from ghw.field import field_new
 from ghw.linalg import (
     _CHUNK,
     _CHUNK_BYTES,
+    _bases_layout,
     enumerate_subspaces,
     gaussian_binomial,
     rref,
@@ -333,20 +337,37 @@ def _scoring_calls(monkeypatch, record):
 
 
 @pytest.mark.parametrize(
-    "field, m, sets, complement, rows",
+    "field, m, sets, complement, generated, scored",
     [
-        (F3, 7, [[1, 2, 3], [4, 5, 6]], True, [1093, 99463, 20480, 4096, 4096, 1093, 1]),
-        (F2, 8, [[1, 2, 3, 4], [4, 5, 6, 7, 8]], False, [255, 10795, 4096, 4096, 4096, 4096, 255, 1]),
+        (
+            F3, 7, [[1, 2, 3], [4, 5, 6]], True,
+            [1093, 99463, 20480, 4096, 4096, 1093, 1],
+            [127, 6468, 1966, 980, 1681, 550, 1],
+        ),
+        (
+            F2, 8, [[1, 2, 3, 4], [4, 5, 6, 7, 8]], False,
+            [255, 10795, 4096, 4096, 4096, 4096, 255, 1],
+            [255, 10795, 4096, 4096, 4096, 4096, 255, 1],
+        ),
     ],
     ids=["q3m7-complement", "q2m8"],
 )
-def test_early_exit_rows_are_pinned(monkeypatch, field, m, sets, complement, rows):
-    """Rows scored per rank before the early exit.  A complement bound off
-    by one leaves every weight unchanged but scans ranks 3-5 in full."""
-    scored = Counter()
-    _scoring_calls(monkeypatch, lambda bases, out: scored.update({bases.shape[1]: len(bases)}))
+def test_early_exit_rows_are_pinned(monkeypatch, field, m, sets, complement, generated, scored):
+    """Rows generated and rows scored per rank before the early exit; over
+    q > 2 only the orbit representatives of each chunk are scored.  A
+    complement bound off by one leaves every weight unchanged but scans
+    ranks 3-5 in full."""
+    made, kept = Counter(), Counter()
+
+    def generating(q, m, r, start, stop):
+        made[r] += stop - start
+        return subspace_bases_array(q, m, r, start, stop)
+
+    monkeypatch.setattr("ghw.code.subspace_bases_array", generating)
+    _scoring_calls(monkeypatch, lambda bases, out: kept.update({bases.shape[1]: len(bases)}))
     hierarchy_prop1(field, normalize(m, sets, complement))
-    assert [scored[r] for r in sorted(scored)] == rows
+    assert [made[r] for r in sorted(made)] == generated
+    assert [kept[r] for r in sorted(kept)] == scored
 
 
 def test_threads_are_clamped_to_the_cpus(monkeypatch):
@@ -422,3 +443,117 @@ def test_orthogonal_counts_match_scalar_dot_products(field):
                 for basis in bases.tolist()
             ]
             assert _orthogonal_counts(field, bases, vectors).tolist() == want, (m, r)
+
+
+# ---- one basis per column orbit -----------------------------------------
+
+_ORBIT_FIELDS = [F3, F4, field_new(5), field_new(7), field_new(2, 3), field_new(3, 2)]
+
+
+def _column_normalized(field, basis):
+    """basis with each column divided by its first nonzero entry, in
+    scalar Field arithmetic."""
+    out = [list(row) for row in basis]
+    for j in range(len(basis[0])):
+        lead = next((row[j] for row in basis if row[j]), 0)
+        if lead > 1:
+            inv = field.inv(lead)
+            for row in out:
+                row[j] = field.mul(inv, row[j])
+    return out
+
+
+@pytest.mark.parametrize("field", _ORBIT_FIELDS, ids=lambda f: f"q{f.q}")
+def test_orbit_representatives_cover_every_basis(field):
+    """Every canonical basis B at m <= 4, every rank: the mask keeps B
+    exactly when B is its own column-normalized form; that form is itself
+    a canonical basis no later than B, and it scores and masks as B does
+    on a union spec (with a kernel from m = 3) and a complement spec.  Each
+    pivot set keeps prod_j (1 + (q^c_j - 1) / (q - 1)) rows, c_j the free
+    cells of column j."""
+    q = field.q
+    for m in range(1, 5):
+        specs = [normalize(m, [[1, 2][:m]], False)]
+        if m > 1:
+            specs.append(normalize(m, [[1], [m]], True))
+        contexts = [_search_context(field, spec) for spec in specs]
+        for r in range(1, m + 1):
+            bases = subspace_bases_array(q, m, r, 0, gaussian_binomial(m, r, q))
+            position = {tuple(map(tuple, b)): i for i, b in enumerate(bases.tolist())}
+            reps = [_column_normalized(field, b) for b in bases.tolist()]
+            for i, (b, rep) in enumerate(zip(bases.tolist(), reps)):
+                assert position[tuple(map(tuple, rep))] <= i, (m, r, b)
+            keep = _orbit_representatives(bases)
+            assert keep.tolist() == [rep == b for b, rep in zip(bases.tolist(), reps)]
+            reps = np.asarray(reps, dtype=np.int64).reshape(bases.shape)
+            assert _orbit_representatives(reps).all()
+            for ctx in contexts:  # the side and kernel the search uses
+                assert np.array_equal(
+                    _orthogonal_counts(field, reps, ctx.small),
+                    _orthogonal_counts(field, bases, ctx.small),
+                )
+                assert np.array_equal(
+                    _valid_mask(field, reps, ctx.kernel_vectors),
+                    _valid_mask(field, bases, ctx.kernel_vectors),
+                )
+            firsts, blocks = _bases_layout(q, m, r)
+            for first, stop, (_, free) in zip(firsts, firsts[1:], blocks):
+                cells = Counter(j for _, j in free).values()
+                want = math.prod(1 + (q**c - 1) // (q - 1) for c in cells)
+                assert keep[first:stop].sum() == want, (m, r, free)
+
+
+@pytest.mark.parametrize("field", _ORBIT_FIELDS[:3], ids=lambda f: f"q{f.q}")
+def test_witnesses_match_a_canonical_first_scan(field):
+    """Values and witnesses of the search equal those of a scan over every
+    canonical basis, first optimum kept, scored with scalar Field dot
+    products, on every small antichain at m <= 4 with both flags."""
+    q = field.q
+    add = [[field.add(a, b) for b in range(q)] for a in range(q)]
+    mul = [[field.mul(a, b) for b in range(q)] for a in range(q)]
+
+    def dot(u, v):
+        total = 0
+        for a, b in zip(u, v):
+            total = add[total][mul[a][b]]
+        return total
+
+    for m in range(1, 5):
+        vectors = list(product(range(q), repeat=m))
+        zero = (0,) * m
+        scans = {}  # r -> [(basis, its H-perp, its nonzero vectors)]
+        for r in range(1, m + 1):
+            scans[r] = []
+            for basis in subspace_bases_array(q, m, r, 0, gaussian_binomial(m, r, q)).tolist():
+                perp = {v for v in vectors if all(dot(row, v) == 0 for row in basis)}
+                span = {zero}
+                for row in basis:
+                    span = {
+                        tuple(add[x][mul[c][y]] for x, y in zip(u, row))
+                        for u in span
+                        for c in range(q)
+                    }
+                scans[r].append((basis, perp, span - {zero}))
+        for family in _antichains(m):
+            for complement in (False, True):
+                inside = {
+                    v
+                    for v in vectors
+                    if any(all(x == 0 or i + 1 in s for i, x in enumerate(v)) for s in family)
+                }
+                defining = set(vectors) - inside if complement else inside
+                if not defining:
+                    continue
+                kernel = {v for v in vectors if all(dot(v, d) == 0 for d in defining)}
+                h = hierarchy_prop1(field, normalize(m, [list(s) for s in family], complement))
+                assert q**h.k * len(kernel) == q**m
+                for r in range(1, h.k + 1):
+                    best = witness = None
+                    for basis, perp, span in scans[r]:
+                        if span & kernel:
+                            continue
+                        value = len(perp & defining)
+                        if best is None or value > best:
+                            best, witness = value, basis
+                    assert h.values[r - 1] == len(defining) - best, (family, complement, r)
+                    assert h.witnesses[r - 1].basis == tuple(map(tuple, witness))
