@@ -250,6 +250,8 @@ def cmd_count(args) -> int:
             raise CLIError(str(exc)) from exc
         inside = cardinality(union_spec, q)
         small = min(inside, q**m - inside)
+    if args.r is not None and not 1 <= args.r <= m:
+        raise CLIError(f"--r must lie in 1..{m}, got {args.r}")
     ranks = [args.r] if args.r is not None else list(range(1, m + 1))
     rows = []
     for r in ranks:
@@ -367,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--sets", default=None, help="optional generators for a cost estimate"
     )
-    p.add_argument("--complement", action="store_true")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_count)
 

@@ -15,10 +15,42 @@ identity for these codes):
 D is the union U of coordinate subspaces, or its complement under the
 complement flag.  The search counts whichever of D and its complement in
 F^m is smaller; since |H-perp| = q^(m-r), either count gives
-|D meet H-perp|.  It never constructs H-perp itself: v lies in H-perp
-exactly when B v = 0 for the basis matrix B of H, so a chunk of
-candidate bases is scored by one ``field.matmul`` against the scanned
-side, the same GF(q) product the kernel mask and the oracle use.
+|D meet H-perp|.  It never constructs H-perp itself, and it scores a
+chunk of candidate bases by one of two methods, picked per rank, that
+give the same count for every basis (``_orthogonal_counts``).
+
+The member product counts the scanned side directly: v lies in H-perp
+exactly when B v = 0 for the basis matrix B of H, so the chunk is scored
+by one ``field.matmul`` against the side, the same GF(q) product the
+kernel mask and the oracle use.
+
+The character sum counts U through H instead.  With chi the canonical
+additive character of GF(q), chi(x) = exp(2 pi i Tr(x) / p), the
+indicator of H-perp is [v in H-perp] = q^-r sum_{h in H} chi(h . v), and
+the sum of chi(h . v) over v in a coordinate subspace F^T is q^|T| when h
+vanishes on T and 0 otherwise.  Summing over U by inclusion-exclusion,
+with S_J the coordinates shared by the generators in a nonempty set J,
+
+    |U meet H-perp| = q^-r sum_{h in H} U-hat(supp h),
+    U-hat(S) = sum_J (-1)^(|J|+1) q^|S_J| [S_J and S are disjoint].
+
+Every U-hat value is an integer, so this is an identity of integers over
+every GF(q), and a complement side counts q^(m-r) minus it.
+``_character_sums`` takes the q^r vectors of every H in one
+``field.matmul`` of all coefficient vectors against the chunk, packs
+their supports into bitmasks and adds up their entries in a 2^m table of
+U-hat, built once per context and only when some rank uses it.
+
+Per basis the member product has min(e, 2) r |side| entries and the
+character sum q^r m e, so the character sum wins at low ranks and
+against large sides.  ``_uses_character_sum`` takes it when its product
+is the smaller, the table's 2^m x 8 bytes fit ``linalg._CHUNK_BYTES``,
+and q^r sum_J q^|S_J|, which bounds every partial sum, is below 2^63,
+so int64 holds the sum exactly.  It reads only the field, m, r, the
+side's size and the generators, so no option or run changes the pick.
+The counts being identical, the chunk step, the orbit filter, the
+kernel mask, the cap checks and their order are untouched, and so are
+values, ``--verbose`` witnesses and the chunk where the early exit fires.
 
 Each rank is scanned in canonical order, one chunk of candidate bases at
 a time, each chunk built on demand.  Chunks hold ``linalg.chunk_rows``
@@ -59,13 +91,16 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
+from functools import lru_cache
 from itertools import islice
+from threading import Lock
 
 import numpy as np
 
 from .config import check_cap
 from .field import Field, matmul
 from .linalg import (
+    _CHUNK_BYTES,
     Subspace,
     chunk_rows,
     codes_to_matrix,
@@ -74,7 +109,13 @@ from .linalg import (
     subspace_count,
     subspace_from_rref,
 )
-from .simplicial import ComplexSpec, cardinality, k_space, member_codes
+from .simplicial import (
+    ComplexSpec,
+    _intersection_terms,
+    cardinality,
+    k_space,
+    member_codes,
+)
 
 @dataclass(eq=False)
 class LinearCode:
@@ -153,10 +194,81 @@ class _SearchContext:
     max_enum: int | None = None
 
 
-def _orthogonal_counts(field: Field, bases: np.ndarray, vectors: np.ndarray):
+def _orthogonal_counts(
+    field: Field, bases: np.ndarray, vectors: np.ndarray, sets=(), outside=False
+):
     """For each candidate basis B in the stack, count the rows v of
-    ``vectors`` with Bv = 0."""
+    ``vectors`` with Bv = 0.
+
+    When ``sets`` is given, ``vectors`` must be the union U of the
+    coordinate subspaces F^S, S in ``sets``, or with ``outside`` its
+    complement in F^m; the counts are then taken by whichever method
+    ``_uses_character_sum`` picks for the rank, with the same result."""
+    _, r, m = bases.shape
+    if sets and _uses_character_sum(field, m, r, len(vectors), sets):
+        inside = _character_sums(field, bases, _support_table(field.q, m, sets))
+        return field.q ** (m - r) - inside if outside else inside
     return len(vectors) - np.any(matmul(field, bases, vectors.T), axis=1).sum(axis=1)
+
+
+@lru_cache(maxsize=64)
+def _uses_character_sum(field: Field, m: int, r: int, side: int, sets) -> bool:
+    """Does scoring rank r against a side of ``side`` vectors take the
+    character sum over H?  Only when its product, q^r m e entries per
+    basis, is smaller than the member product's min(e, 2) r |side|, its
+    2^m table fits ``_CHUNK_BYTES``, and q^r sum_J q^|S_J| bounds every
+    partial sum below 2^63, so int64 holds it exactly."""
+    q, e = field.q, field.e
+    if q**r * m * e >= min(e, 2) * r * side or 8 * 2**m > _CHUNK_BYTES:
+        return False
+    return q**r * sum(q ** len(common) for common, _ in _intersection_terms(sets)) < 2**63
+
+
+_TABLE_LOCK = Lock()
+
+
+def _support_table(q: int, m: int, sets) -> np.ndarray:
+    """U-hat as a read-only int64 table of 2^m entries, indexed by support
+    bitmask (bit j for coordinate j + 1); built once per context, and the
+    lock keeps concurrent chunks from building it twice."""
+    with _TABLE_LOCK:
+        return _build_support_table(q, m, sets)
+
+
+@lru_cache(maxsize=1)
+def _build_support_table(q: int, m: int, sets) -> np.ndarray:
+    """U-hat(S) = sum_J sign q^|S_J| [S_J and S are disjoint]: the weights
+    sign q^|S_J| summed over every subset T of the complement of S, one
+    subset-sum pass per coordinate, then read at the complement."""
+    table = np.zeros(2**m, dtype=np.int64)
+    for common, sign in _intersection_terms(sets):
+        table[sum(1 << (j - 1) for j in common)] += sign * q ** len(common)
+    for j in range(m):
+        halves = table.reshape(-1, 2, 2**j)
+        halves[:, 1] += halves[:, 0]
+    table = table[::-1].copy()  # entry S is the sum over T inside [m] - S
+    table.setflags(write=False)
+    return table
+
+
+def _character_sums(field: Field, bases: np.ndarray, table: np.ndarray):
+    """|U meet H-perp| for each H spanned by a basis of the stack, as
+    q^-r sum over h in H of U-hat(supp h): every coefficient vector times
+    every basis in one product, the supports of the q^r results per basis
+    packed into bitmasks of the narrowest unsigned type, each looked up in
+    the table.  A stack of tables (..., 2^m) gives a stack of counts."""
+    c, r, m = bases.shape
+    q = field.q
+    rows = bases.transpose(1, 2, 0).reshape(r, m * c)  # coordinate major
+    span = matmul(field, codes_to_matrix(range(q**r), q, r), rows)
+    word = np.min_scalar_type(2**m - 1)
+    supports = np.einsum(
+        "hjc,j->hc",
+        (span.reshape(q**r, m, c) != 0).view(np.uint8),
+        2 ** np.arange(m, dtype=word),
+        dtype=word,
+    )
+    return table[..., supports].sum(axis=-2) // q**r
 
 
 def _orbit_representatives(bases: np.ndarray):
@@ -224,6 +336,9 @@ def _search(ctx: _SearchContext, r: int, threads: int = 1):
         ctx.small.size * field.e**2, ctx.max_enum, what="F_p entries of the scanned side"
     )
     per_h = q ** (m - r)
+    # the scanned side is F^m minus the union exactly when it is outside D
+    # and D is the union, or inside D and D is the complement
+    side_outside = ctx.small_outside != spec.complement
     # the zero vector lies in every H-perp and never in a complement
     bound = per_h - spec.complement
     # per row: scoring's product and digit, and the mask's two (t, m) products
@@ -238,7 +353,7 @@ def _search(ctx: _SearchContext, r: int, threads: int = 1):
         chunk = subspace_bases_array(q, m, r, start, min(start + step, total))
         if q > 2:  # one basis per column orbit; see the module docstring
             chunk = chunk[_orbit_representatives(chunk)]
-        counts = _orthogonal_counts(field, chunk, ctx.small)
+        counts = _orthogonal_counts(field, chunk, ctx.small, spec.sets, side_outside)
         inside = per_h - counts if ctx.small_outside else counts
         valid = _valid_mask(field, chunk, ctx.kernel_vectors)
         if not valid.any():

@@ -100,18 +100,24 @@ def member(spec: ComplexSpec, v) -> bool:
     return not inside if spec.complement else inside
 
 
-def _union_cardinality(sets, q: int) -> int:
-    """Inclusion-exclusion over the generators; intersections of coordinate
-    subspaces are coordinate subspaces, so each term is a power of q."""
-    total = 0
+def _intersection_terms(sets):
+    """The inclusion-exclusion terms of a union of coordinate subspaces:
+    (S_J, sign) for every nonempty set J of generators, S_J the coordinates
+    they share and sign (-1)^(|J|+1).  F^{S_J} is the intersection of the
+    chosen F^{S_i}, so |F^{S_1} u ... u F^{S_l}| = sum sign q^|S_J|."""
     l = len(sets)
     for size in range(1, l + 1):
         for chosen in combinations(range(l), size):
             common = set(sets[chosen[0]])
             for i in chosen[1:]:
                 common &= set(sets[i])
-            total += (-1) ** (size + 1) * q ** len(common)
-    return total
+            yield common, (-1) ** (size + 1)
+
+
+def _union_cardinality(sets, q: int) -> int:
+    """Inclusion-exclusion over the generators; intersections of coordinate
+    subspaces are coordinate subspaces, so each term is a power of q."""
+    return sum(sign * q ** len(common) for common, sign in _intersection_terms(sets))
 
 
 def cardinality(spec: ComplexSpec, q: int) -> int:

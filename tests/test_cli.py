@@ -254,6 +254,26 @@ def test_count_subspaces_json(capsys):
     assert payload["total"] == 35
 
 
+@pytest.mark.parametrize("rank", ["0", "-2", "5", "9"])
+def test_count_subspaces_refuses_ranks_outside_1_to_m(capsys, rank):
+    """Only ranks 1..m have candidates to count; any other --r is an input
+    error, not a row with count 1 or 0."""
+    assert cli.main(["count-subspaces", "--q", "2", "--m", "4", "--r", rank]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --r must lie in 1..4, got {rank}\n"
+    assert cli.main(["count-subspaces", "--q", "2", "--m", "4", "--r", "4"]) == 0
+
+
+def test_count_subspaces_has_no_complement_flag(capsys):
+    """The estimate scans the smaller side whatever the flag says, so
+    count-subspaces takes no --complement."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["count-subspaces", "--q", "3", "--m", "4", "--sets", "1,2", "--complement"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --complement" in capsys.readouterr().err
+
+
 def test_count_subspaces_notes_the_ranks_over_the_cap(capsys, monkeypatch):
     """The cap applies to each rank's count, not to their sum."""
     monkeypatch.delenv("GHW_MAX_ENUM", raising=False)

@@ -3,6 +3,7 @@ import hashlib
 import math
 import os
 import random
+import sys
 import threading
 import tracemalloc
 from collections import Counter, defaultdict
@@ -13,9 +14,13 @@ import pytest
 
 from ghw.code import (
     WeightHierarchy,
+    _build_support_table,
+    _character_sums,
     _orbit_representatives,
     _orthogonal_counts,
     _search_context,
+    _support_table,
+    _uses_character_sum,
     _valid_mask,
     build_code,
     ghw_prop1,
@@ -27,6 +32,7 @@ from ghw.linalg import (
     _CHUNK,
     _CHUNK_BYTES,
     _bases_layout,
+    codes_to_matrix,
     enumerate_subspaces,
     gaussian_binomial,
     rref,
@@ -329,9 +335,9 @@ def test_search_memory_is_bounded_by_the_chunk():
 def _scoring_calls(monkeypatch, record):
     """Route every scoring call through record(bases, vectors) first."""
 
-    def counting(field, bases, vectors):
+    def counting(field, bases, vectors, *args):
         record(bases, vectors)
-        return _orthogonal_counts(field, bases, vectors)
+        return _orthogonal_counts(field, bases, vectors, *args)
 
     monkeypatch.setattr("ghw.code._orthogonal_counts", counting)
 
@@ -557,3 +563,153 @@ def test_witnesses_match_a_canonical_first_scan(field):
                             best, witness = value, basis
                     assert h.values[r - 1] == len(defining) - best, (family, complement, r)
                     assert h.witnesses[r - 1].basis == tuple(map(tuple, witness))
+
+
+# ---- character sums over H ----------------------------------------------
+
+_CHARACTER_CELLS = [
+    (F2, 6), (F3, 4), (F4, 4), (field_new(5), 4), (field_new(7), 4),
+    (field_new(2, 3), 4), (field_new(3, 2), 4),
+]
+
+
+def _scalar_perp(field, bases, vectors):
+    """(c, N), True where B v = 0: dot products from the scalar Field.add
+    and Field.mul tables, taken entrywise for every basis and vector."""
+    q = field.q
+    add = np.array([[field.add(a, b) for b in range(q)] for a in range(q)])
+    mul = np.array([[field.mul(a, b) for b in range(q)] for a in range(q)])
+    dots = np.zeros((len(bases), bases.shape[1], len(vectors)), dtype=np.int64)
+    for j in range(bases.shape[2]):
+        dots = add[dots, mul[bases[:, :, j, None], vectors[None, None, :, j]]]
+    return ~dots.any(axis=1)
+
+
+@pytest.mark.parametrize("field, top", _CHARACTER_CELLS, ids=lambda c: getattr(c, "q", c))
+def test_character_sums_match_member_and_scalar_counts(field, top):
+    """Every canonical basis at m <= top; at q > 2 and m = top only the
+    orbit representatives, the bases the search scores.  The member product
+    finds B v = 0 for exactly the v that scalar dot products do, one
+    vector at a time, so both count every side alike; and against every
+    antichain of at most three generators the character sum over H gives
+    the scalar count of the union; the complement's count is |H-perp|
+    minus that.  The q = 2 complements include specs with a nonzero
+    kernel."""
+    q = field.q
+    kernels = 0  # q = 2 complement specs with a nonzero kernel
+    for m in range(1, top + 1):
+        vectors = codes_to_matrix(range(q**m), q, m)
+        support = (vectors != 0) @ (1 << np.arange(m))
+        families = [normalize(m, [list(s) for s in f], False).sets for f in _antichains(m)]
+        tables = np.array([_support_table(q, m, sets) for sets in families])
+        inside = np.array(
+            [
+                np.any([support & ~sum(1 << (j - 1) for j in s) == 0 for s in sets], axis=0)
+                for sets in families
+            ],
+            dtype=np.float64,
+        )
+        if q == 2:
+            kernels += sum(
+                k_space(normalize(m, sets, True), field).dim > 0
+                for sets in families
+                if len(sets[-1]) >= m - 1
+            )
+        for r in range(1, m + 1):
+            bases = subspace_bases_array(q, m, r, 0, gaussian_binomial(m, r, q))
+            if q > 2 and m == top:  # the rows the search scores
+                bases = bases[_orbit_representatives(bases)]
+            perp = _scalar_perp(field, bases, vectors)
+            member = [_orthogonal_counts(field, bases, v[None]) for v in vectors]
+            assert np.array_equal(np.column_stack(member), perp), (m, r)
+            step = max(1, 2**21 // (q**r * len(bases)))  # 16 MiB of lookups
+            union = np.concatenate(
+                [_character_sums(field, bases, tables[i : i + step]) for i in range(0, len(tables), step)]
+            )
+            scalar = (inside @ perp.T.astype(np.float64)).astype(np.int64)
+            assert np.array_equal(union, scalar), (m, r)
+            # a complement side holds |H-perp| minus the union count
+            assert (perp.sum(axis=1) == q ** (m - r)).all(), (m, r)
+    assert kernels > 0 or q > 2
+
+
+@pytest.mark.parametrize(
+    "field, m, sets, complement, picks",
+    [
+        (F2, 9, [[1, 2, 3, 4, 5], [5, 6, 7, 8, 9]], False, [1, 2, 3, 4, 5]),
+        (F3, 7, [[1, 2, 3], [3, 4, 5], [5, 6, 7]], False, [1, 2, 3]),
+        (F4, 6, [[1, 2, 3], [4, 5, 6]], False, [1, 2]),
+        (F2, 8, [[1, 2, 3], [3, 4, 5]], False, []),
+        (F2, 6, [[1, 2, 3, 4, 5], [2, 3, 4, 5, 6]], False, [1, 2]),
+        (F2, 6, [[1, 2, 3, 4, 5], [2, 3, 4, 5, 6]], True, [1, 2]),
+    ],
+    ids=["both-q2m9", "both-q3m7", "both-gf4m6", "brute-q2m8", "q2m6-outside", "q2m6-compl"],
+)
+def test_character_sum_picks_are_pinned(field, m, sets, complement, picks):
+    """The ranks scored by the character sum, for the benchmark's specs and
+    for a union scanned through its complement (both flags; the
+    complement spec has a kernel).  Routed through the generators, scoring
+    gives the member product's counts on the first rows of every rank."""
+    ctx = _search_context(field, normalize(m, sets, complement))
+    sets = ctx.spec.sets
+    side = len(ctx.small)
+    assert [r for r in range(1, ctx.k + 1) if _uses_character_sum(field, m, r, side, sets)] == picks
+    outside = ctx.small_outside != ctx.spec.complement
+    assert outside == (field.q == 2 and m == 6)
+    for r in range(1, ctx.k + 1):
+        bases = subspace_bases_array(field.q, m, r, 0, min(512, gaussian_binomial(m, r, field.q)))
+        assert np.array_equal(
+            _orthogonal_counts(field, bases, ctx.small, sets, outside),
+            _orthogonal_counts(field, bases, ctx.small),
+        ), r
+
+
+def test_character_sum_refuses_what_int64_cannot_hold():
+    """Over GF(65536) at m = 2, `1;2` keeps the member product at both
+    ranks, and the search refuses it by the cap as before.  At m = 4,
+    `1,2,3;2,3,4` would sum 2^16 (2 q^3 + q^2) > 2^63 at rank 1, so the
+    character sum is refused there though its product is far smaller; over
+    GF(256) the same rank takes it."""
+    big = field_new(2, 16)
+    spec = normalize(2, [[1], [2]], False)
+    assert not any(_uses_character_sum(big, 2, r, 2 * big.q - 1, spec.sets) for r in (1, 2))
+    with pytest.raises(ResourceCapError, match="F_p entries of the scanned side"):
+        hierarchy_prop1(big, spec)
+    sets = normalize(4, [[1, 2, 3], [2, 3, 4]], False).sets
+    for field, taken in ((big, False), (field_new(2, 8), True)):
+        q = field.q
+        assert (q * (2 * q**3 + q**2) >= 2**63) != taken
+        assert _uses_character_sum(field, 4, 1, 2 * q**3 - q**2, sets) == taken
+
+
+def test_character_sum_refuses_a_table_past_the_chunk_bytes():
+    """The 2^m table of eight-byte sums must fit _CHUNK_BYTES: m = 21 fits
+    exactly, m = 22 does not, though both ranks would win on cost."""
+    for m, taken in ((21, True), (22, False)):
+        half = m // 2
+        sets = normalize(m, [list(range(1, half + 1)), list(range(half + 1, m + 1))], False).sets
+        side = 2**half + 2 ** (m - half) - 1
+        assert (8 * 2**m <= _CHUNK_BYTES) == taken
+        assert _uses_character_sum(F2, m, 1, side, sets) == taken
+
+
+def test_support_table_is_built_once_and_only_when_used(monkeypatch):
+    """No rank of q=2 m=5 `1,2;3,4` takes the character sum, so no table
+    is built; q=2 m=7 `1,2,3,4;4,5,6,7` takes it at ranks 1-4 and builds
+    its table once, also with eight threads racing for it (more than the
+    CPUs, with a short switch interval), and gives the serial result."""
+    _build_support_table.cache_clear()
+    hierarchy_prop1(F2, normalize(5, [[1, 2], [3, 4]], False))
+    assert _build_support_table.cache_info().misses == 0
+    spec = normalize(7, [[1, 2, 3, 4], [4, 5, 6, 7]], False)
+    serial = hierarchy_prop1(F2, spec)
+    _build_support_table.cache_clear()
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = hierarchy_prop1(F2, spec, threads=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert _build_support_table.cache_info().misses == 1
+    assert threaded == serial and threaded.witnesses == serial.witnesses
