@@ -14,13 +14,13 @@ import sys
 from dataclasses import replace
 from time import perf_counter
 
-from .code import _search, _search_context, hierarchy_prop1
+from .code import _search, _search_context, _uses_character_sum, hierarchy_prop1
 from .config import DEFAULT_MAX_ENUM, Q_CAP, ResourceCapError, resolve_max_enum
 from .field import Field, field_new
 from .formulas import NotApplicable, hierarchy_formula
 from .linalg import gaussian_binomial
 from .reference import run_reference_checks
-from .simplicial import cardinality, normalize, normalize_sets, parse_sets
+from .simplicial import cardinality, normalize, normalize_sets, parse_sets, union_terms
 
 
 class CLIError(Exception):
@@ -250,13 +250,17 @@ def cmd_count(args) -> int:
             raise CLIError(str(exc)) from exc
         inside = cardinality(union_spec, q)
         small = min(inside, q**m - inside)
+        terms = union_terms(union_spec.sets)
     if args.r is not None and not 1 <= args.r <= m:
         raise CLIError(f"--r must lie in 1..{m}, got {args.r}")
     ranks = [args.r] if args.r is not None else list(range(1, m + 1))
     rows = []
     for r in ranks:
         count = gaussian_binomial(m, r, q)
-        ops = count * small * m if small is not None else None
+        ops = None
+        if small is not None:  # per candidate, the product of the search's pick
+            width = q**r if _uses_character_sum(field, m, r, small, terms) else small
+            ops = count * width * m
         rows.append((r, count, ops))
     total = sum(c for _, c, _ in rows)
     if args.format == "json":

@@ -29,25 +29,29 @@ additive character of GF(q), chi(x) = exp(2 pi i Tr(x) / p), the
 indicator of H-perp is [v in H-perp] = q^-r sum_{h in H} chi(h . v), and
 the sum of chi(h . v) over v in a coordinate subspace F^T is q^|T| when h
 vanishes on T and 0 otherwise.  Summing over U by inclusion-exclusion,
-with S_J the coordinates shared by the generators in a nonempty set J,
+with c_T the merged coefficients of ``simplicial.union_terms``
+([v in U] = sum_T c_T [v in F^T]),
 
     |U meet H-perp| = q^-r sum_{h in H} U-hat(supp h),
-    U-hat(S) = sum_J (-1)^(|J|+1) q^|S_J| [S_J and S are disjoint].
+    U-hat(S) = sum_T c_T q^|T| [T and S are disjoint].
 
 Every U-hat value is an integer, so this is an identity of integers over
 every GF(q), and a complement side counts q^(m-r) minus it.
 ``_character_sums`` takes the q^r vectors of every H in one
 ``field.matmul`` of all coefficient vectors against the chunk, packs
 their supports into bitmasks and adds up their entries in a 2^m table of
-U-hat, built once per context and only when some rank uses it.
+U-hat.
 
 Per basis the member product has min(e, 2) r |side| entries and the
 character sum q^r m e, so the character sum wins at low ranks and
 against large sides.  ``_uses_character_sum`` takes it when its product
 is the smaller, the table's 2^m x 8 bytes fit ``linalg._CHUNK_BYTES``,
-and q^r sum_J q^|S_J|, which bounds every partial sum, is below 2^63,
-so int64 holds the sum exactly.  It reads only the field, m, r, the
-side's size and the generators, so no option or run changes the pick.
+and q^r sum_T |c_T| q^|T|, which bounds every partial sum, is below
+2^63, so int64 holds the sum exactly.  It reads only the field, m, r,
+the side's size and the terms, so no option or run changes the pick.
+``_search`` makes the pick once per rank and builds the table onto the
+search context before any thread starts, so threads only read it and
+need no lock, and the table goes with the context.
 The counts being identical, the chunk step, the orbit filter, the
 kernel mask, the cap checks and their order are untouched, and so are
 values, ``--verbose`` witnesses and the chunk where the early exit fires.
@@ -91,9 +95,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
-from functools import lru_cache
 from itertools import islice
-from threading import Lock
 
 import numpy as np
 
@@ -109,13 +111,7 @@ from .linalg import (
     subspace_count,
     subspace_from_rref,
 )
-from .simplicial import (
-    ComplexSpec,
-    _intersection_terms,
-    cardinality,
-    k_space,
-    member_codes,
-)
+from .simplicial import ComplexSpec, cardinality, k_space, member_codes, union_terms
 
 @dataclass(eq=False)
 class LinearCode:
@@ -191,58 +187,48 @@ class _SearchContext:
     small: np.ndarray  # (Ns, m) matrix of the scanned side
     small_outside: bool  # it is the complement of D, not D
     kernel_vectors: np.ndarray  # nonzero vectors of the kernel, (t, m)
+    terms: dict  # union_terms of the generators
     max_enum: int | None = None
+    table: np.ndarray | None = None  # _support_table, once a rank needs it
 
 
 def _orthogonal_counts(
-    field: Field, bases: np.ndarray, vectors: np.ndarray, sets=(), outside=False
+    field: Field, bases: np.ndarray, vectors: np.ndarray, table=None, outside=False
 ):
     """For each candidate basis B in the stack, count the rows v of
     ``vectors`` with Bv = 0.
 
-    When ``sets`` is given, ``vectors`` must be the union U of the
-    coordinate subspaces F^S, S in ``sets``, or with ``outside`` its
-    complement in F^m; the counts are then taken by whichever method
-    ``_uses_character_sum`` picks for the rank, with the same result."""
+    Without ``table`` the member product counts them.  With it, ``vectors``
+    must be the union U of coordinate subspaces, or with ``outside`` its
+    complement in F^m, and ``table`` U's ``_support_table``; the character
+    sum then gives the same counts."""
     _, r, m = bases.shape
-    if sets and _uses_character_sum(field, m, r, len(vectors), sets):
-        inside = _character_sums(field, bases, _support_table(field.q, m, sets))
+    if table is not None:
+        inside = _character_sums(field, bases, table)
         return field.q ** (m - r) - inside if outside else inside
     return len(vectors) - np.any(matmul(field, bases, vectors.T), axis=1).sum(axis=1)
 
 
-@lru_cache(maxsize=64)
-def _uses_character_sum(field: Field, m: int, r: int, side: int, sets) -> bool:
+def _uses_character_sum(field: Field, m: int, r: int, side: int, terms) -> bool:
     """Does scoring rank r against a side of ``side`` vectors take the
     character sum over H?  Only when its product, q^r m e entries per
     basis, is smaller than the member product's min(e, 2) r |side|, its
-    2^m table fits ``_CHUNK_BYTES``, and q^r sum_J q^|S_J| bounds every
-    partial sum below 2^63, so int64 holds it exactly."""
+    2^m table fits ``_CHUNK_BYTES``, and q^r sum |c_S| q^|S| over the
+    ``terms`` bounds every partial sum below 2^63, so int64 holds it."""
     q, e = field.q, field.e
     if q**r * m * e >= min(e, 2) * r * side or 8 * 2**m > _CHUNK_BYTES:
         return False
-    return q**r * sum(q ** len(common) for common, _ in _intersection_terms(sets)) < 2**63
+    return q**r * sum(abs(c) * q ** key.bit_count() for key, c in terms.items()) < 2**63
 
 
-_TABLE_LOCK = Lock()
-
-
-def _support_table(q: int, m: int, sets) -> np.ndarray:
+def _support_table(q: int, m: int, terms) -> np.ndarray:
     """U-hat as a read-only int64 table of 2^m entries, indexed by support
-    bitmask (bit j for coordinate j + 1); built once per context, and the
-    lock keeps concurrent chunks from building it twice."""
-    with _TABLE_LOCK:
-        return _build_support_table(q, m, sets)
-
-
-@lru_cache(maxsize=1)
-def _build_support_table(q: int, m: int, sets) -> np.ndarray:
-    """U-hat(S) = sum_J sign q^|S_J| [S_J and S are disjoint]: the weights
-    sign q^|S_J| summed over every subset T of the complement of S, one
-    subset-sum pass per coordinate, then read at the complement."""
+    bitmask as ``terms`` are: the weights c_T q^|T| summed over every
+    subset T of the complement of S, one subset-sum pass per coordinate,
+    then read at the complement."""
     table = np.zeros(2**m, dtype=np.int64)
-    for common, sign in _intersection_terms(sets):
-        table[sum(1 << (j - 1) for j in common)] += sign * q ** len(common)
+    for key, c in terms.items():
+        table[key] = c * q ** key.bit_count()
     for j in range(m):
         halves = table.reshape(-1, 2, 2**j)
         halves[:, 1] += halves[:, 0]
@@ -319,6 +305,7 @@ def _search_context(field: Field, spec: ComplexSpec, max_enum=None) -> _SearchCo
         small=small,
         small_outside=small_spec.complement != spec.complement,
         kernel_vectors=span_vectors(field, basis),
+        terms=union_terms(spec.sets),
         max_enum=max_enum,
     )
 
@@ -345,6 +332,10 @@ def _search(ctx: _SearchContext, r: int, threads: int = 1):
     step = chunk_rows(
         8 * (min(field.e, 2) * r * len(ctx.small) + 2 * len(ctx.kernel_vectors) * m)
     )
+    character_sum = _uses_character_sum(field, m, r, len(ctx.small), ctx.terms)
+    if character_sum and ctx.table is None:  # before any thread starts: no lock
+        ctx.table = _support_table(q, m, ctx.terms)
+    table = ctx.table if character_sum else None
 
     def score(start):
         """(best |D meet H-perp|, a copy of the first basis attaining it)
@@ -353,7 +344,7 @@ def _search(ctx: _SearchContext, r: int, threads: int = 1):
         chunk = subspace_bases_array(q, m, r, start, min(start + step, total))
         if q > 2:  # one basis per column orbit; see the module docstring
             chunk = chunk[_orbit_representatives(chunk)]
-        counts = _orthogonal_counts(field, chunk, ctx.small, spec.sets, side_outside)
+        counts = _orthogonal_counts(field, chunk, ctx.small, table, side_outside)
         inside = per_h - counts if ctx.small_outside else counts
         valid = _valid_mask(field, chunk, ctx.kernel_vectors)
         if not valid.any():

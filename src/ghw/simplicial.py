@@ -13,12 +13,23 @@ a normalized specification.
 Vectors map to integer codes with coordinate 1 as the most significant
 base-q digit, so ascending code order is lexicographic order on tuples,
 and the column order of every generator matrix is reproducible.
+
+Sizes come from inclusion-exclusion over the generators' common supports,
+merged (``union_terms``).  The generators are added one at a time: since
+[A u F^g] = [A] + [F^g] - [A meet F^g] and F^S meet F^g = F^(S meet g),
+g adds {g: +1} and {S meet g: -c_S} for every term so far, equal supports
+merge and zero coefficients drop (the Moebius function of the intersection
+lattice; Rota, 1964).  Every support kept is the intersection of some of
+the generators, so there are at most as many terms as distinct
+intersections, never more than the 2^l - 1 generator subsets (20
+singletons give 21 terms).  Each c_S sums the signs (-1)^(|J|+1) of the
+subsets J meeting in S, so sum |c_S| q^|S|, which bounds every partial sum
+of the terms, is at most the subsets' sum_J q^|S_J|.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -100,28 +111,20 @@ def member(spec: ComplexSpec, v) -> bool:
     return not inside if spec.complement else inside
 
 
-def _intersection_terms(sets):
-    """The inclusion-exclusion terms of a union of coordinate subspaces:
-    (S_J, sign) for every nonempty set J of generators, S_J the coordinates
-    they share and sign (-1)^(|J|+1).  F^{S_J} is the intersection of the
-    chosen F^{S_i}, so |F^{S_1} u ... u F^{S_l}| = sum sign q^|S_J|."""
-    l = len(sets)
-    for size in range(1, l + 1):
-        for chosen in combinations(range(l), size):
-            common = set(sets[chosen[0]])
-            for i in chosen[1:]:
-                common &= set(sets[i])
-            yield common, (-1) ** (size + 1)
-
-
-def _union_cardinality(sets, q: int) -> int:
-    """Inclusion-exclusion over the generators; intersections of coordinate
-    subspaces are coordinate subspaces, so each term is a power of q."""
-    return sum(sign * q ** len(common) for common, sign in _intersection_terms(sets))
+def union_terms(sets) -> dict:
+    """{S: c_S}, S a bitmask (bit j - 1 for coordinate j), with
+    [v in U] = sum c_S [v in F^S] for U the union of the F^{S_i}."""
+    terms = {}
+    for s in sets:
+        g = sum(1 << (j - 1) for j in s)
+        for key, coeff in [(g, 1)] + [(key & g, -c) for key, c in terms.items()]:
+            terms[key] = terms.get(key, 0) + coeff
+        terms = {key: coeff for key, coeff in terms.items() if coeff}
+    return terms
 
 
 def cardinality(spec: ComplexSpec, q: int) -> int:
-    inside = _union_cardinality(spec.sets, q)
+    inside = sum(c * q ** key.bit_count() for key, c in union_terms(spec.sets).items())
     return q**spec.m - inside if spec.complement else inside
 
 
@@ -131,7 +134,7 @@ def member_codes(spec: ComplexSpec, q: int, max_enum=None):
     if spec.complement:
         check_cap(q**m, max_enum, what="vectors of the ambient space")
     else:
-        check_cap(_union_cardinality(spec.sets, q), max_enum, what="defining vectors")
+        check_cap(cardinality(spec, q), max_enum, what="defining vectors")
     top = max(sum((q - 1) * q ** (m - pos) for pos in s) for s in spec.sets)
     if top >= 2**63:  # codes are built in int64
         raise OverflowError(f"member code {top} does not fit in 64 bits")

@@ -210,6 +210,17 @@ def test_params_on_verified_complement(capsys):
     assert payload["method"] == "formula"
 
 
+def test_params_on_twenty_singletons(capsys):
+    """A [21, 20, 1] code from 20 generators: sizing it takes one term per
+    distinct intersection, not 2^20 - 1 generator subsets."""
+    sets = ";".join(str(i) for i in range(1, 21))
+    ret = cli.main(["params", "--q", "2", "--m", "20", "--sets", sets, "--format", "json"])
+    assert ret == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["n"], payload["k"], payload["d1"]) == (21, 20, 1)
+    assert payload["method"] == "formula"
+
+
 def test_params_falls_back_to_search(capsys):
     ret = cli.main(
         ["params", "--q", "2", "--m", "4", "--sets", "1,2", "--format", "json"]
@@ -252,6 +263,21 @@ def test_count_subspaces_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["rows"] == [{"r": 2, "count": 35, "search_ops": 35 * 4 * 4}]
     assert payload["total"] == 35
+
+
+def test_count_subspaces_estimates_the_method_the_search_picks(capsys):
+    """Per candidate, the estimate takes the product of the scoring method
+    the search picks: q^r m at the character-sum ranks 1-5 of q=2 m=9
+    `1,2,3,4,5;5,6,7,8,9`, |side| m = 62 m above them."""
+    argv = ["count-subspaces", "--q", "2", "--m", "9", "--sets", "1,2,3,4,5;5,6,7,8,9"]
+    assert cli.main(argv + ["--r", "1", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["rows"] == [{"r": 1, "count": 511, "search_ops": 511 * 2 * 9}]
+    assert cli.main(argv + ["--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["search_ops"] // (row["count"] * 9) for row in rows] == [
+        2, 4, 8, 16, 32, 62, 62, 62, 62
+    ]
 
 
 @pytest.mark.parametrize("rank", ["0", "-2", "5", "9"])
@@ -393,22 +419,40 @@ def test_reference_catches_broken_table(capsys, monkeypatch):
 # ---- the benchmark's traced launcher ----------------------------------------
 
 
-def test_traced_verify_paper_reports_every_layer(monkeypatch):
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["verify-paper"], "13 cases: 13 passed, 0 failed"),
+        (
+            ["hierarchy", "--method", "brute", "--q", "2", "--m", "7",
+             "--sets", "1,2,3,4;4,5,6", "--format", "json"],
+            '"hierarchy": [4, 6, 14, 18, 20, 21]',
+        ),
+    ],
+    ids=["verify-paper", "brute-kernel"],
+)
+def test_traced_verify_paper_reports_every_layer(monkeypatch, argv, line):
     """perfbench/launch.py wraps each layer's entry point by module and
     name, and silently skips one that is gone or lost its cache; a traced
-    run must still pass and report every layer present."""
-    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    run must still pass, report every layer present and yield every
+    per-layer metric BENCHMARK.json lists.  The brute request has a
+    one-dimensional kernel, so its search masks candidates, and it scores
+    ranks 1-3 by the character sum and ranks 4-6 by the member product."""
+    root = Path(__file__).resolve().parent.parent
+    bench = root / "perfbench"
     monkeypatch.syspath_prepend(str(bench))
     layers = importlib.import_module("layers")
     proc = subprocess.run(
-        [sys.executable, str(bench / "launch.py"), "verify-paper"],
+        [sys.executable, str(bench / "launch.py"), *argv],
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "13 cases: 13 passed, 0 failed" in proc.stdout.splitlines()
+    assert line in proc.stdout, proc.stdout
     last = proc.stderr.splitlines()[-1]
     assert last.startswith(layers.TRACE_MARK)
     payload = json.loads(last[len(layers.TRACE_MARK) :])
     assert set(payload["present"]) == {entry[2] for entry in layers.ENTRY_POINTS}
+    declared = json.loads((root / "BENCHMARK.json").read_text())["per_layer"]
+    assert set(layers.layer_metrics([payload], 1)) == {metric["name"] for metric in declared}

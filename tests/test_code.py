@@ -14,7 +14,6 @@ import pytest
 
 from ghw.code import (
     WeightHierarchy,
-    _build_support_table,
     _character_sums,
     _orbit_representatives,
     _orthogonal_counts,
@@ -41,7 +40,7 @@ from ghw.linalg import (
     subspace_from_vectors,
 )
 from ghw.oracle import ghw_definitional, hierarchy_definitional
-from ghw.simplicial import cardinality, k_space, normalize
+from ghw.simplicial import cardinality, k_space, normalize, union_terms
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -601,7 +600,7 @@ def test_character_sums_match_member_and_scalar_counts(field, top):
         vectors = codes_to_matrix(range(q**m), q, m)
         support = (vectors != 0) @ (1 << np.arange(m))
         families = [normalize(m, [list(s) for s in f], False).sets for f in _antichains(m)]
-        tables = np.array([_support_table(q, m, sets) for sets in families])
+        tables = np.array([_support_table(q, m, union_terms(sets)) for sets in families])
         inside = np.array(
             [
                 np.any([support & ~sum(1 << (j - 1) for j in s) == 0 for s in sets], axis=0)
@@ -648,18 +647,18 @@ def test_character_sums_match_member_and_scalar_counts(field, top):
 def test_character_sum_picks_are_pinned(field, m, sets, complement, picks):
     """The ranks scored by the character sum, for the benchmark's specs and
     for a union scanned through its complement (both flags; the
-    complement spec has a kernel).  Routed through the generators, scoring
+    complement spec has a kernel).  Given the support table, scoring
     gives the member product's counts on the first rows of every rank."""
     ctx = _search_context(field, normalize(m, sets, complement))
-    sets = ctx.spec.sets
     side = len(ctx.small)
-    assert [r for r in range(1, ctx.k + 1) if _uses_character_sum(field, m, r, side, sets)] == picks
+    assert [r for r in range(1, ctx.k + 1) if _uses_character_sum(field, m, r, side, ctx.terms)] == picks
     outside = ctx.small_outside != ctx.spec.complement
     assert outside == (field.q == 2 and m == 6)
+    table = _support_table(field.q, m, ctx.terms)
     for r in range(1, ctx.k + 1):
         bases = subspace_bases_array(field.q, m, r, 0, min(512, gaussian_binomial(m, r, field.q)))
         assert np.array_equal(
-            _orthogonal_counts(field, bases, ctx.small, sets, outside),
+            _orthogonal_counts(field, bases, ctx.small, table, outside),
             _orthogonal_counts(field, bases, ctx.small),
         ), r
 
@@ -672,14 +671,15 @@ def test_character_sum_refuses_what_int64_cannot_hold():
     GF(256) the same rank takes it."""
     big = field_new(2, 16)
     spec = normalize(2, [[1], [2]], False)
-    assert not any(_uses_character_sum(big, 2, r, 2 * big.q - 1, spec.sets) for r in (1, 2))
+    terms = union_terms(spec.sets)
+    assert not any(_uses_character_sum(big, 2, r, 2 * big.q - 1, terms) for r in (1, 2))
     with pytest.raises(ResourceCapError, match="F_p entries of the scanned side"):
         hierarchy_prop1(big, spec)
-    sets = normalize(4, [[1, 2, 3], [2, 3, 4]], False).sets
+    terms = union_terms(normalize(4, [[1, 2, 3], [2, 3, 4]], False).sets)
     for field, taken in ((big, False), (field_new(2, 8), True)):
         q = field.q
         assert (q * (2 * q**3 + q**2) >= 2**63) != taken
-        assert _uses_character_sum(field, 4, 1, 2 * q**3 - q**2, sets) == taken
+        assert _uses_character_sum(field, 4, 1, 2 * q**3 - q**2, terms) == taken
 
 
 def test_character_sum_refuses_a_table_past_the_chunk_bytes():
@@ -690,20 +690,26 @@ def test_character_sum_refuses_a_table_past_the_chunk_bytes():
         sets = normalize(m, [list(range(1, half + 1)), list(range(half + 1, m + 1))], False).sets
         side = 2**half + 2 ** (m - half) - 1
         assert (8 * 2**m <= _CHUNK_BYTES) == taken
-        assert _uses_character_sum(F2, m, 1, side, sets) == taken
+        assert _uses_character_sum(F2, m, 1, side, union_terms(sets)) == taken
 
 
 def test_support_table_is_built_once_and_only_when_used(monkeypatch):
     """No rank of q=2 m=5 `1,2;3,4` takes the character sum, so no table
     is built; q=2 m=7 `1,2,3,4;4,5,6,7` takes it at ranks 1-4 and builds
-    its table once, also with eight threads racing for it (more than the
-    CPUs, with a short switch interval), and gives the serial result."""
-    _build_support_table.cache_clear()
+    its table once, also with eight threads scoring (more than the CPUs,
+    with a short switch interval), and gives the serial result."""
+    built = []
+
+    def counting(q, m, terms):
+        built.append((q, m))
+        return _support_table(q, m, terms)
+
+    monkeypatch.setattr("ghw.code._support_table", counting)
     hierarchy_prop1(F2, normalize(5, [[1, 2], [3, 4]], False))
-    assert _build_support_table.cache_info().misses == 0
+    assert built == []
     spec = normalize(7, [[1, 2, 3, 4], [4, 5, 6, 7]], False)
     serial = hierarchy_prop1(F2, spec)
-    _build_support_table.cache_clear()
+    assert built == [(2, 7)]
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -711,5 +717,5 @@ def test_support_table_is_built_once_and_only_when_used(monkeypatch):
         threaded = hierarchy_prop1(F2, spec, threads=8)
     finally:
         sys.setswitchinterval(interval)
-    assert _build_support_table.cache_info().misses == 1
+    assert built == [(2, 7), (2, 7)]
     assert threaded == serial and threaded.witnesses == serial.witnesses

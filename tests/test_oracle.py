@@ -9,7 +9,7 @@ import pytest
 from ghw.code import build_code, hierarchy_prop1
 from ghw.config import ResourceCapError
 from ghw.field import field_new
-from ghw.formulas import lemma1_dim, lemma1_witness
+from ghw.formulas import NotApplicable, hierarchy_formula, lemma1_dim, lemma1_witness
 from ghw.linalg import (
     enumerate_subspaces,
     gaussian_binomial,
@@ -172,6 +172,31 @@ def test_definitional_agrees_with_search_on_extension_complements():
                     assert hierarchy_definitional(build_code(field, spec)).values == expect
                     checked += 1
     assert checked == 27
+
+
+@pytest.mark.parametrize(
+    "field, sets, values",
+    [
+        (F2, [[1, 2, 4], [1, 3, 4], [1, 2, 5, 6], [3, 4, 5, 6]], (12, 20, 25, 28, 30, 31)),
+        (
+            F3,
+            [[1, 2], [1, 3, 4], [2, 3, 6], [2, 4, 5], [3, 5, 6], [4, 5, 6]],
+            (408, 548, 598, 616, 622, 624),
+        ),
+    ],
+    ids=["q2m6", "q3m6"],
+)
+def test_complements_no_table_claims_are_pinned(field, sets, values):
+    """Two m = 6 complements on which a conjectured closed form (coordinate
+    on a support, generic off it) gives d_2 = 21 and 550: no table claims
+    them, and the search and the subcode enumeration agree on these
+    values.  Their four and six generators exercise the merged
+    inclusion-exclusion."""
+    spec = normalize(6, sets, True)
+    with pytest.raises(NotApplicable):
+        hierarchy_formula(field.q, spec)
+    assert hierarchy_prop1(field, spec).values == values
+    assert hierarchy_definitional(build_code(field, spec)).values == values
 
 
 def test_definitional_hierarchy_reduces_the_generator_once(monkeypatch):

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations, product
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from ghw.simplicial import (
     normalize,
     normalize_sets,
     parse_sets,
+    union_terms,
 )
 
 F2 = field_new(2)
@@ -113,6 +115,70 @@ def test_cardinality_matches_enumeration():
                 assert len(members) == cardinality(spec, field.q)
                 assert members == sorted(members)
                 assert all(member(spec, v) for v in members)
+
+
+def _subset_walk(sets):
+    """The unmerged inclusion-exclusion terms, the reference: (common
+    support as a bitmask, (-1)^(|J|+1)) for every nonempty set J of
+    generators."""
+    for size in range(1, len(sets) + 1):
+        for chosen in combinations(sets, size):
+            common = set.intersection(*(set(s) for s in chosen))
+            yield sum(1 << (j - 1) for j in common), (-1) ** (size + 1)
+
+
+def _check_terms_against_the_walk(sets, qs):
+    walk = list(_subset_walk(sets))
+    terms = union_terms(sets)
+    assert all(terms.values()), sets
+    for q in qs:
+        size = sum(sign * q ** key.bit_count() for key, sign in walk)
+        assert sum(c * q ** key.bit_count() for key, c in terms.items()) == size, (sets, q)
+        # the search's int64 bound never exceeds the walk's
+        old = sum(q ** key.bit_count() for key, _ in walk)
+        assert sum(abs(c) * q ** key.bit_count() for key, c in terms.items()) <= old, (sets, q)
+    assert len(terms) <= len({key for key, _ in walk}), sets
+
+
+def test_union_terms_match_the_subset_walk_on_small_antichains():
+    """Every antichain of at most four generators for m <= 5."""
+    qs = (2, 3, 4, 5, 7)
+    for m in range(1, 6):
+        subsets = [c for k in range(1, m + 1) for c in combinations(range(1, m + 1), k)]
+        for count in range(1, 5):
+            for family in combinations(subsets, count):
+                if not any(set(a) < set(b) for a in family for b in family):
+                    _check_terms_against_the_walk(family, qs)
+                    spec = normalize(m, family, False)
+                    assert cardinality(spec, 3) == sum(
+                        sign * 3 ** key.bit_count() for key, sign in _subset_walk(spec.sets)
+                    )
+
+
+def test_union_terms_match_the_subset_walk_on_random_specs():
+    """Up to seven generators, m <= 9, raw (repeated and nested generators
+    allowed) and normalized."""
+    rng = random.Random(29)
+    for _ in range(1500):
+        m = rng.randrange(1, 10)
+        sets = [
+            rng.sample(range(1, m + 1), rng.randrange(1, m + 1))
+            for _ in range(rng.randrange(1, 8))
+        ]
+        q = rng.choice((2, 3, 4, 5, 7))
+        _check_terms_against_the_walk(sets, (q,))
+        _check_terms_against_the_walk(normalize(m, sets, False).sets, (q,))
+
+
+def test_cardinality_of_many_singletons_is_fast():
+    """22 singletons have 2^22 - 1 generator subsets but 23 distinct
+    intersections (the 22 axes and the origin)."""
+    spec = normalize(22, [[i] for i in range(1, 23)], False)
+    start = perf_counter()
+    assert len(union_terms(spec.sets)) == 23
+    assert cardinality(spec, 2) == 23
+    assert cardinality(normalize(22, spec.sets, True), 3) == 3**22 - 45
+    assert perf_counter() - start < 1
 
 
 def test_union_and_complement_partition_the_space():
