@@ -18,7 +18,7 @@ from .code import _search, _search_context, _uses_character_sum, hierarchy_prop1
 from .config import DEFAULT_MAX_ENUM, Q_CAP, ResourceCapError, resolve_max_enum
 from .field import Field, field_new
 from .formulas import NotApplicable, hierarchy_formula
-from .linalg import gaussian_binomial
+from .linalg import gaussian_binomial, representative_count
 from .reference import run_reference_checks
 from .simplicial import cardinality, normalize, normalize_sets, parse_sets, union_terms
 
@@ -73,7 +73,7 @@ def _resolve_spec(args, field: Field, verbose_to=None):
         spec = normalize(args.m, raw, args.complement)
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
-    if cardinality(spec, field.q) == 0:
+    if cardinality(spec, field.q, args.max_enum) == 0:
         raise CLIError(f"defining set {spec.describe()} is empty")
     if verbose_to is not None:
         _, dropped = normalize_sets(raw)
@@ -258,9 +258,9 @@ def cmd_count(args) -> int:
     for r in ranks:
         count = gaussian_binomial(m, r, q)
         ops = None
-        if small is not None:  # per candidate, the product of the search's pick
+        if small is not None:  # per basis scored, the product of the search's pick
             width = q**r if _uses_character_sum(field, m, r, small, terms) else small
-            ops = count * width * m
+            ops = representative_count(q, m, r) * width * m
         rows.append((r, count, ops))
     total = sum(c for _, c, _ in rows)
     if args.format == "json":

@@ -52,8 +52,8 @@ the side's size and the terms, so no option or run changes the pick.
 ``_search`` makes the pick once per rank and builds the table onto the
 search context before any thread starts, so threads only read it and
 need no lock, and the table goes with the context.
-The counts being identical, the chunk step, the orbit filter, the
-kernel mask, the cap checks and their order are untouched, and so are
+The counts being identical, the chunk step, the orbit representatives,
+the kernel mask, the cap checks and their order are untouched, and so are
 values, ``--verbose`` witnesses and the chunk where the early exit fires.
 
 Each rank is scanned in canonical order, one chunk of candidate bases at
@@ -66,13 +66,13 @@ reaches the bound.  With threads (never more than the CPUs), at most
 2 x threads chunks are in flight and they are absorbed in order, which
 gives the serial result and witness.
 
-Over q > 2 only one basis per column orbit of each chunk is scored and
-masked.  D is a union of coordinate subspaces or its complement, and K
-is a coordinate subspace, so both are fixed by every coordinate scaling
-L in (F_q^*)^m; since (HL)-perp = L^-1 H-perp, the map H -> HL changes
-neither |D meet H-perp| nor whether H meets K.  The representative kept
-is the canonical RREF basis whose every column has element code 1 as its
-first nonzero entry (``_orbit_representatives``):
+Over q > 2 only one basis per column orbit of each chunk is built,
+scored and masked.  D is a union of coordinate subspaces or its
+complement, and K is a coordinate subspace, so both are fixed by every
+coordinate scaling L in (F_q^*)^m; since (HL)-perp = L^-1 H-perp, the
+map H -> HL changes neither |D meet H-perp| nor whether H meets K.  The
+representative kept is the canonical RREF basis whose every column has
+element code 1 as its first nonzero entry:
 
 - Scaling each non-pivot column by the inverse of its first nonzero
   entry leaves the pivot columns alone, so the RREF form survives and
@@ -82,10 +82,13 @@ first nonzero entry (``_orbit_representatives``):
   rep(H) <= H in canonical order.
 - Hence the first optimal H in canonical order is a representative:
   values, witnesses and the chunk where the early exit fires are those
-  of the full scan.  Chunk boundaries, ``chunk_rows`` and the cap checks
-  still count every generated candidate; only the rows scored and
-  masked shrink, by up to (q-1)^(m-r).  At q = 2 every basis is its own
-  representative, so nothing is filtered.
+  of the full scan.
+
+A chunk still spans ``chunk_rows`` canonical candidates, and the cap
+checks count every canonical candidate, G(m, r); only the
+representatives among them are built (``subspace_bases_array`` with
+``orbits``), up to (q-1)^(m-r) fewer rows, and a chunk may hold none.
+At q = 2 every basis is its own representative.
 """
 
 from __future__ import annotations
@@ -257,15 +260,6 @@ def _character_sums(field: Field, bases: np.ndarray, table: np.ndarray):
     return table[..., supports].sum(axis=-2) // q**r
 
 
-def _orbit_representatives(bases: np.ndarray):
-    """True where a canonical RREF basis represents its column orbit: in
-    every column the first nonzero entry is element code 1 (pivot columns
-    always are, and an all-zero column passes)."""
-    first = np.argmax(bases != 0, axis=1)  # (c, m): row of each column's lead
-    lead = np.take_along_axis(bases, first[:, None, :], axis=1)[:, 0, :]
-    return np.all(lead <= 1, axis=1)
-
-
 def _valid_mask(field: Field, bases: np.ndarray, kernel_vectors: np.ndarray):
     """True where the candidate meets the kernel only in zero.
 
@@ -287,7 +281,7 @@ def _search_context(field: Field, spec: ComplexSpec, max_enum=None) -> _SearchCo
     union_spec = ComplexSpec(m=spec.m, sets=spec.sets, complement=False)
     compl_spec = ComplexSpec(m=spec.m, sets=spec.sets, complement=True)
     q = field.q
-    union_size = cardinality(union_spec, q)
+    union_size = cardinality(union_spec, q, max_enum)
     compl_size = q**spec.m - union_size
     n = compl_size if spec.complement else union_size
     if n == 0:
@@ -305,7 +299,7 @@ def _search_context(field: Field, spec: ComplexSpec, max_enum=None) -> _SearchCo
         small=small,
         small_outside=small_spec.complement != spec.complement,
         kernel_vectors=span_vectors(field, basis),
-        terms=union_terms(spec.sets),
+        terms=union_terms(spec.sets, max_enum),
         max_enum=max_enum,
     )
 
@@ -341,9 +335,10 @@ def _search(ctx: _SearchContext, r: int, threads: int = 1):
         """(best |D meet H-perp|, a copy of the first basis attaining it)
         over the valid candidates of the chunk at start, or None when none
         is valid."""
-        chunk = subspace_bases_array(q, m, r, start, min(start + step, total))
-        if q > 2:  # one basis per column orbit; see the module docstring
-            chunk = chunk[_orbit_representatives(chunk)]
+        # one basis per column orbit; see the module docstring
+        chunk = subspace_bases_array(q, m, r, start, min(start + step, total), orbits=True)
+        if not len(chunk):
+            return None
         counts = _orthogonal_counts(field, chunk, ctx.small, table, side_outside)
         inside = per_h - counts if ctx.small_outside else counts
         valid = _valid_mask(field, chunk, ctx.kernel_vectors)

@@ -17,11 +17,36 @@ most ``_CHUNK`` rows, and only the most recent few ranges stay cached.
 Callers whose work per row grows with the input (the search's scoring
 and kernel mask, the oracle's codewords and gathers) size their ranges
 with ``chunk_rows``, so that work stays within ``_CHUNK_BYTES``.
+
+The search asks only for column-orbit representatives: the bases whose
+every column has element code 1 as its first nonzero entry (code.py says
+why one per orbit suffices).  They are not a fixed mixed radix, because
+free cells run row major across columns and a column's choices depend on
+whether it already has its lead.  A column with a free cells still to
+fill has q^a fillings once it has its lead and 1 + (q^a - 1)/(q - 1)
+before (all zero, or a first nonzero of 1 and anything after), and a
+state's count of completions is the product over its columns.  So:
+
+- the layout also records each pivot set's representative count and
+  where its first representative falls (``representative_count`` gives
+  the total in closed form, a cross-check as the Gaussian binomial is);
+- unranking walks the cells row major for every row at once: a column
+  with its lead takes digit rank // (rest q^(a-1)), one without takes 0
+  or 1 by comparing rank with rest (1 + (q^(a-1) - 1)/(q - 1)), rest
+  being the other columns' completions (``_unrank_representatives``);
+- a scalar walk over a canonical number's digits counts the
+  representatives below it, which maps a canonical range to the range of
+  representatives it holds (``_representatives_below``), so callers keep
+  their chunks in canonical numbers and only the rows built shrink.
+
+At q = 2 both counts are 2^a and every basis is a representative.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -190,15 +215,41 @@ def subspace_count(q: int, m: int, r: int, max_enum=None, what=None) -> int:
     return total
 
 
+def _led(q: int, a: int) -> int:
+    """Fillings of a column's last ``a`` free cells before it has its lead:
+    all zero, or a first nonzero entry of code 1 and anything after it."""
+    return 1 + (q**a - 1) // (q - 1)
+
+
+def representative_count(q: int, m: int, r: int) -> int:
+    """Canonical r-by-m bases over GF(q) whose every column has element
+    code 1 as its first nonzero entry: one per column orbit.
+
+    A non-pivot column has one free cell per pivot to its left, so one
+    pass over the columns, keyed by the pivots placed so far, sums the
+    product of ``_led`` over every pivot set.
+    """
+    if r < 0 or r > m:
+        return 0
+    ways = [1] + [0] * r  # ways[t]: column prefixes holding t pivots
+    for _ in range(m):
+        ways = [ways[t] * _led(q, t) + (ways[t - 1] if t else 0) for t in range(r + 1)]
+    return ways[r]
+
+
 @lru_cache(maxsize=64)
 def _bases_layout(q: int, m: int, r: int):
-    """Where each pivot set sits in the canonical order of r-by-m bases.
+    """Where each pivot set sits in the canonical order of r-by-m bases,
+    and among its column-orbit representatives.
 
-    Returns (firsts, blocks): firsts[i] is the index of the first basis
-    with the i-th pivot set and the last entry is the total count; blocks[i]
-    is (pivots, free cells), the free cells row major.
+    Returns (firsts, blocks, reps): firsts[i] is the index of the first
+    basis with the i-th pivot set and the last entry is the total count;
+    blocks[i] is (pivots, free cells), the free cells row major; reps is
+    firsts counted in representatives, one pivot set holding the product
+    of ``_led`` over its columns' free cell counts.  At q = 2 every basis
+    is a representative and reps equals firsts.
     """
-    firsts = [0]
+    firsts, reps = [0], [0]
     blocks = []
     for pivots in combinations(range(m), r):
         pivset = set(pivots)
@@ -210,12 +261,79 @@ def _bases_layout(q: int, m: int, r: int):
         )
         blocks.append((pivots, free))
         firsts.append(firsts[-1] + q ** len(free))
+        columns = Counter(j for _, j in free).values()
+        reps.append(reps[-1] + math.prod(_led(q, a) for a in columns))
     assert firsts[-1] == gaussian_binomial(m, r, q)
-    return tuple(firsts), tuple(blocks)
+    assert reps[-1] == representative_count(q, m, r)
+    return tuple(firsts), tuple(blocks), tuple(reps)
+
+
+def _representatives_below(q: int, m: int, r: int, x: int) -> int:
+    """How many representatives come before canonical basis number x.
+
+    Walks x's free-cell digits, most significant first, adding the
+    representatives that share the digits so far and take a smaller one
+    here.  A column that has its lead takes any digit and leaves q^(a-1)
+    fillings of its a - 1 later cells; one without takes 0 (``_led`` of
+    a - 1 fillings) or 1 (q^(a-1)), and a larger digit ends the walk,
+    since no representative shares that prefix.
+    """
+    firsts, blocks, reps = _bases_layout(q, m, r)
+    if x == 0:
+        return 0
+    if x == firsts[-1]:
+        return reps[-1]
+    block = bisect_right(firsts, x) - 1
+    free = blocks[block][1]
+    code = x - firsts[block]
+    below, ahead = reps[block], reps[block + 1] - reps[block]
+    left = Counter(j for _, j in free)
+    led = set()
+    for idx, (_, j) in enumerate(free):
+        digit = code // q ** (len(free) - 1 - idx) % q
+        a = left[j]
+        left[j] -= 1
+        if j in led:
+            rest = ahead // q**a * q ** (a - 1)
+            below += digit * rest
+            ahead = rest
+            continue
+        rest = ahead // _led(q, a)
+        if digit == 0:
+            ahead = rest * _led(q, a - 1)
+            continue
+        below += rest * _led(q, a - 1)
+        if digit > 1:
+            return below + rest * q ** (a - 1)
+        led.add(j)
+        ahead = rest * q ** (a - 1)
+    return below
+
+
+def _unrank_representatives(q: int, free, ahead: int, ranks, rows):
+    """Fill the free cells of ``rows`` with the representatives numbered
+    ``ranks`` among the ``ahead`` of one pivot set, the walk of
+    ``_representatives_below`` run backwards for every row at once."""
+    left = Counter(j for _, j in free)
+    led = np.zeros((len(ranks), rows.shape[2]), dtype=bool)
+    ranks = ranks.copy()
+    ahead = np.full(len(ranks), ahead, dtype=np.int64)
+    for i, j in free:
+        a = left[j]
+        left[j] -= 1
+        lead = led[:, j]
+        rest = ahead // np.where(lead, q**a, _led(q, a))
+        after = rest * q ** (a - 1)  # fillings after each digit, once led
+        zeros = rest * _led(q, a - 1)  # fillings after a leading 0
+        digit = np.where(lead, ranks // after, ranks >= zeros)
+        ranks -= np.where(lead, digit * after, digit * zeros)
+        lead |= digit != 0
+        ahead = np.where(lead, after, zeros)
+        rows[:, i, j] = digit
 
 
 @lru_cache(maxsize=16)
-def subspace_bases_array(q: int, m: int, r: int, start: int, stop: int):
+def subspace_bases_array(q: int, m: int, r: int, start: int, stop: int, orbits=False):
     """Canonical r-by-m RREF bases number start..stop-1 over GF(q).
 
     Shape (stop - start, r, m), int64.  Entries are element codes; the
@@ -224,10 +342,20 @@ def subspace_bases_array(q: int, m: int, r: int, start: int, stop: int):
     rows, so the memory held here is bounded by the chunk, never by the
     Gaussian binomial.  The array is frozen and shared, callers must not
     write to it.
+
+    With ``orbits`` only the column-orbit representatives among those
+    bases are built, in canonical order: the bases whose every column has
+    element code 1 as its first nonzero entry.  A range may hold none.
+    At q = 2 that is every basis.
     """
-    firsts, blocks = _bases_layout(q, m, r)
+    firsts, blocks, reps = _bases_layout(q, m, r)
     if not 0 <= start <= stop <= firsts[-1]:
         raise ValueError(f"range {start}..{stop} outside 0..{firsts[-1]}")
+    represent = orbits and q > 2
+    if represent:
+        firsts = reps
+        start = _representatives_below(q, m, r, start)
+        stop = _representatives_below(q, m, r, stop)
     out = np.zeros((stop - start, r, m), dtype=np.int64)
     block = bisect_right(firsts, start) - 1
     pos = start
@@ -238,8 +366,10 @@ def subspace_bases_array(q: int, m: int, r: int, start: int, stop: int):
         pivots, free = blocks[block]
         for i, p in enumerate(pivots):
             rows[:, i, p] = 1
-        if free:
-            codes = np.arange(pos - first, end - first, dtype=np.int64)
+        codes = np.arange(pos - first, end - first, dtype=np.int64)
+        if represent:
+            _unrank_representatives(q, free, firsts[block + 1] - first, codes, rows)
+        else:
             for idx, (i, j) in enumerate(free):
                 rows[:, i, j] = (codes // q ** (len(free) - 1 - idx)) % q
         pos = end

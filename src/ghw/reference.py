@@ -95,14 +95,14 @@ REFERENCE_CASES = (
 )
 
 
-def _check_membership(case: ReferenceCase) -> dict:
+def _check_membership(case: ReferenceCase, max_enum) -> dict:
     spec = normalize(case.m, case.sets, case.complement)
     problems = []
     for vec, want in case.memberships:
         got = member(spec, vec)
         if got != want:
             problems.append(f"member({vec}) = {got}, expected {want}")
-    got_size = cardinality(spec, case.q)
+    got_size = cardinality(spec, case.q, max_enum)
     if got_size != case.size:
         problems.append(f"cardinality = {got_size}, expected {case.size}")
     return {
@@ -167,7 +167,7 @@ def run_reference_checks(only: str = None, threads: int = 1, max_enum=None):
             continue
         start = perf_counter()
         if case.hierarchy is None:
-            row = _check_membership(case)
+            row = _check_membership(case, max_enum)
         else:
             row = _check_hierarchy(case, threads, max_enum)
         row["id"] = case.case_id

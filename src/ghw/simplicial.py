@@ -111,11 +111,15 @@ def member(spec: ComplexSpec, v) -> bool:
     return not inside if spec.complement else inside
 
 
-def union_terms(sets) -> dict:
+def union_terms(sets, max_enum=None) -> dict:
     """{S: c_S}, S a bitmask (bit j - 1 for coordinate j), with
-    [v in U] = sum c_S [v in F^S] for U the union of the F^{S_i}."""
+    [v in U] = sum c_S [v in F^S] for U the union of the F^{S_i}.
+
+    A generator at most doubles the terms (plus its own), so the count is
+    checked against the cap before each one is added."""
     terms = {}
     for s in sets:
+        check_cap(2 * len(terms) + 1, max_enum, what="inclusion-exclusion terms")
         g = sum(1 << (j - 1) for j in s)
         for key, coeff in [(g, 1)] + [(key & g, -c) for key, c in terms.items()]:
             terms[key] = terms.get(key, 0) + coeff
@@ -123,8 +127,9 @@ def union_terms(sets) -> dict:
     return terms
 
 
-def cardinality(spec: ComplexSpec, q: int) -> int:
-    inside = sum(c * q ** key.bit_count() for key, c in union_terms(spec.sets).items())
+def cardinality(spec: ComplexSpec, q: int, max_enum=None) -> int:
+    terms = union_terms(spec.sets, max_enum)
+    inside = sum(c * q ** key.bit_count() for key, c in terms.items())
     return q**spec.m - inside if spec.complement else inside
 
 
@@ -134,7 +139,7 @@ def member_codes(spec: ComplexSpec, q: int, max_enum=None):
     if spec.complement:
         check_cap(q**m, max_enum, what="vectors of the ambient space")
     else:
-        check_cap(cardinality(spec, q), max_enum, what="defining vectors")
+        check_cap(cardinality(spec, q, max_enum), max_enum, what="defining vectors")
     top = max(sum((q - 1) * q ** (m - pos) for pos in s) for s in spec.sets)
     if top >= 2**63:  # codes are built in int64
         raise OverflowError(f"member code {top} does not fit in 64 bits")

@@ -280,6 +280,17 @@ def test_count_subspaces_estimates_the_method_the_search_picks(capsys):
     ]
 
 
+def test_count_subspaces_counts_the_orbit_representatives_at_q3(capsys):
+    """Over q > 2 the search scores one basis per column orbit, so the
+    estimate multiplies the representatives, 6,468 of the 99,463 planes
+    of F_3^7 (the rank-2 rows test_early_exit_rows_are_pinned scores), by
+    the character sum's q^r m; the count stays G(m, r)."""
+    argv = ["count-subspaces", "--q", "3", "--m", "7", "--sets", "1,2,3;3,4,5;5,6,7"]
+    assert cli.main(argv + ["--r", "2", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["rows"] == [{"r": 2, "count": 99463, "search_ops": 6468 * 9 * 7}]
+
+
 @pytest.mark.parametrize("rank", ["0", "-2", "5", "9"])
 def test_count_subspaces_refuses_ranks_outside_1_to_m(capsys, rank):
     """Only ranks 1..m have candidates to count; any other --r is an input
@@ -343,6 +354,20 @@ def test_member_code_overflow_exits_three(capsys):
     assert ret == 3
     err = capsys.readouterr().err
     assert err == "error: member code 10806813741383936712 does not fit in 64 bits\n"
+
+
+def test_inclusion_exclusion_terms_are_capped(capsys):
+    """The 20 generators [20] - {i} have 2^20 - 1 distinct intersections.
+    A generator at most doubles the terms, so their count is checked
+    before each one: a cap of 100,000 refuses at 2 x 65,535 + 1 terms,
+    before the million-term map is built."""
+    sets = ";".join(",".join(str(j) for j in range(1, 21) if j != i) for i in range(1, 21))
+    argv = ["params", "--q", "2", "--m", "20", "--sets", sets, "--max-enum", "100000"]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == (
+        "error: refusing to enumerate 131071 inclusion-exclusion terms "
+        "(cap 100000; raise GHW_MAX_ENUM or --max-enum to allow)\n"
+    )
 
 
 def test_scanned_side_expansion_is_capped(capsys):
@@ -428,8 +453,13 @@ def test_reference_catches_broken_table(capsys, monkeypatch):
              "--sets", "1,2,3,4;4,5,6", "--format", "json"],
             '"hierarchy": [4, 6, 14, 18, 20, 21]',
         ),
+        (
+            ["hierarchy", "--method", "brute", "--q", "3", "--m", "5",
+             "--sets", "1,2;2,3,4", "--format", "json"],
+            '"hierarchy": [6, 24, 30, 32]',
+        ),
     ],
-    ids=["verify-paper", "brute-kernel"],
+    ids=["verify-paper", "brute-kernel", "brute-q3-orbits"],
 )
 def test_traced_verify_paper_reports_every_layer(monkeypatch, argv, line):
     """perfbench/launch.py wraps each layer's entry point by module and
@@ -437,7 +467,9 @@ def test_traced_verify_paper_reports_every_layer(monkeypatch, argv, line):
     run must still pass, report every layer present and yield every
     per-layer metric BENCHMARK.json lists.  The brute request has a
     one-dimensional kernel, so its search masks candidates, and it scores
-    ranks 1-3 by the character sum and ranks 4-6 by the member product."""
+    ranks 1-3 by the character sum and ranks 4-6 by the member product.
+    The q = 3 request builds only column-orbit representatives, and they
+    still pass through the wrapped generator and its cache."""
     root = Path(__file__).resolve().parent.parent
     bench = root / "perfbench"
     monkeypatch.syspath_prepend(str(bench))
@@ -454,5 +486,6 @@ def test_traced_verify_paper_reports_every_layer(monkeypatch, argv, line):
     assert last.startswith(layers.TRACE_MARK)
     payload = json.loads(last[len(layers.TRACE_MARK) :])
     assert set(payload["present"]) == {entry[2] for entry in layers.ENTRY_POINTS}
+    assert payload["totals"]["bases_bytes"] > 0
     declared = json.loads((root / "BENCHMARK.json").read_text())["per_layer"]
     assert set(layers.layer_metrics([payload], 1)) == {metric["name"] for metric in declared}

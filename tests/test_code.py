@@ -15,7 +15,6 @@ import pytest
 from ghw.code import (
     WeightHierarchy,
     _character_sums,
-    _orbit_representatives,
     _orthogonal_counts,
     _search_context,
     _support_table,
@@ -364,9 +363,9 @@ def test_early_exit_rows_are_pinned(monkeypatch, field, m, sets, complement, gen
     ranks 3-5 in full."""
     made, kept = Counter(), Counter()
 
-    def generating(q, m, r, start, stop):
+    def generating(q, m, r, start, stop, orbits=False):
         made[r] += stop - start
-        return subspace_bases_array(q, m, r, start, stop)
+        return subspace_bases_array(q, m, r, start, stop, orbits=orbits)
 
     monkeypatch.setattr("ghw.code.subspace_bases_array", generating)
     _scoring_calls(monkeypatch, lambda bases, out: kept.update({bases.shape[1]: len(bases)}))
@@ -470,12 +469,12 @@ def _column_normalized(field, basis):
 
 @pytest.mark.parametrize("field", _ORBIT_FIELDS, ids=lambda f: f"q{f.q}")
 def test_orbit_representatives_cover_every_basis(field):
-    """Every canonical basis B at m <= 4, every rank: the mask keeps B
+    """Every canonical basis B at m <= 4, every rank: the generator keeps B
     exactly when B is its own column-normalized form; that form is itself
-    a canonical basis no later than B, and it scores and masks as B does
-    on a union spec (with a kernel from m = 3) and a complement spec.  Each
-    pivot set keeps prod_j (1 + (q^c_j - 1) / (q - 1)) rows, c_j the free
-    cells of column j."""
+    a canonical basis no later than B, every such form is generated, and
+    it scores and masks as B does on a union spec (with a kernel from
+    m = 3) and a complement spec.  Each pivot set keeps
+    prod_j (1 + (q^c_j - 1) / (q - 1)) rows, c_j the free cells of column j."""
     q = field.q
     for m in range(1, 5):
         specs = [normalize(m, [[1, 2][:m]], False)]
@@ -483,15 +482,19 @@ def test_orbit_representatives_cover_every_basis(field):
             specs.append(normalize(m, [[1], [m]], True))
         contexts = [_search_context(field, spec) for spec in specs]
         for r in range(1, m + 1):
-            bases = subspace_bases_array(q, m, r, 0, gaussian_binomial(m, r, q))
+            total = gaussian_binomial(m, r, q)
+            bases = subspace_bases_array(q, m, r, 0, total)
             position = {tuple(map(tuple, b)): i for i, b in enumerate(bases.tolist())}
             reps = [_column_normalized(field, b) for b in bases.tolist()]
             for i, (b, rep) in enumerate(zip(bases.tolist(), reps)):
                 assert position[tuple(map(tuple, rep))] <= i, (m, r, b)
-            keep = _orbit_representatives(bases)
-            assert keep.tolist() == [rep == b for b, rep in zip(bases.tolist(), reps)]
+            keep = [rep == b for b, rep in zip(bases.tolist(), reps)]
+            generated = subspace_bases_array(q, m, r, 0, total, orbits=True)
+            assert generated.tolist() == [b for b, k in zip(bases.tolist(), keep) if k]
+            assert {tuple(map(tuple, rep)) for rep in reps} == {
+                tuple(map(tuple, b)) for b in generated.tolist()
+            }
             reps = np.asarray(reps, dtype=np.int64).reshape(bases.shape)
-            assert _orbit_representatives(reps).all()
             for ctx in contexts:  # the side and kernel the search uses
                 assert np.array_equal(
                     _orthogonal_counts(field, reps, ctx.small),
@@ -501,11 +504,14 @@ def test_orbit_representatives_cover_every_basis(field):
                     _valid_mask(field, reps, ctx.kernel_vectors),
                     _valid_mask(field, bases, ctx.kernel_vectors),
                 )
-            firsts, blocks = _bases_layout(q, m, r)
-            for first, stop, (_, free) in zip(firsts, firsts[1:], blocks):
+            firsts, blocks, starts = _bases_layout(q, m, r)
+            for first, stop, (_, free), kept in zip(
+                firsts, firsts[1:], blocks, np.diff(starts)
+            ):
                 cells = Counter(j for _, j in free).values()
                 want = math.prod(1 + (q**c - 1) // (q - 1) for c in cells)
-                assert keep[first:stop].sum() == want, (m, r, free)
+                assert sum(keep[first:stop]) == want == kept, (m, r, free)
+                assert len(subspace_bases_array(q, m, r, first, stop, orbits=True)) == want
 
 
 @pytest.mark.parametrize("field", _ORBIT_FIELDS[:3], ids=lambda f: f"q{f.q}")
@@ -615,9 +621,8 @@ def test_character_sums_match_member_and_scalar_counts(field, top):
                 if len(sets[-1]) >= m - 1
             )
         for r in range(1, m + 1):
-            bases = subspace_bases_array(q, m, r, 0, gaussian_binomial(m, r, q))
-            if q > 2 and m == top:  # the rows the search scores
-                bases = bases[_orbit_representatives(bases)]
+            orbits = m == top  # at q > 2, only the rows the search scores
+            bases = subspace_bases_array(q, m, r, 0, gaussian_binomial(m, r, q), orbits=orbits)
             perp = _scalar_perp(field, bases, vectors)
             member = [_orthogonal_counts(field, bases, v[None]) for v in vectors]
             assert np.array_equal(np.column_stack(member), perp), (m, r)

@@ -128,7 +128,7 @@ def test_op_tables_make_no_scalar_calls(monkeypatch):
         assert np.array_equal(mats[a] @ digits[b] % 2, digits[ab])
 
 
-@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (2, 4)])
 def test_matmul_matches_scalar_sums(p, e):
     f = field_new(p, e)
     rng = np.random.default_rng(p * 10 + e)
@@ -144,7 +144,7 @@ def test_matmul_matches_scalar_sums(p, e):
             assert got[i, j, l] == want
 
 
-@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (2, 4)])
 def test_matmul_with_a_batched_right_operand_matches_scalar_sums(p, e):
     f = field_new(p, e)
     rng = np.random.default_rng(p * 10 + e + 1)

@@ -16,6 +16,7 @@ from ghw.linalg import (
     gaussian_binomial,
     intersection,
     null_space,
+    representative_count,
     rref,
     subspace_bases_array,
     subspace_from_vectors,
@@ -195,6 +196,52 @@ def test_bases_array_ranges_split_and_are_frozen():
                     piece[0, 0, 0] = 1
     with pytest.raises(ValueError):
         subspace_bases_array(2, 4, 2, 0, gaussian_binomial(4, 2, 2) + 1)
+
+
+def _leads_with_one(basis) -> bool:
+    """Is every column's first nonzero entry element code 1 (an all-zero
+    column passes)?"""
+    return all(next((x for x in column if x), 1) == 1 for column in zip(*basis))
+
+
+@pytest.mark.parametrize(
+    "q, top", [(3, 5), (4, 5), (5, 5), (7, 4), (8, 4), (9, 4)], ids=lambda v: str(v)
+)
+def test_orbit_bases_are_the_canonical_ones_leading_with_one(q, top):
+    """Every rank at m <= top: orbits=True builds exactly the canonical
+    bases whose columns lead with code 1, in canonical order, as many as
+    representative_count says, and ranges of 1, 7 and 37 canonical bases
+    concatenate to the same rows."""
+    for m in range(top + 1):
+        for r in range(m + 1):
+            total = gaussian_binomial(m, r, q)
+            whole = subspace_bases_array(q, m, r, 0, total)
+            want = [b for b in whole.tolist() if _leads_with_one(b)]
+            got = subspace_bases_array(q, m, r, 0, total, orbits=True)
+            assert got.shape == (len(want), r, m)
+            assert got.tolist() == want, (m, r)
+            assert len(want) == representative_count(q, m, r)
+            with pytest.raises(ValueError):
+                got[..., :1] = 1
+            for step in (1, 7, 37):
+                pieces = [
+                    subspace_bases_array(q, m, r, a, min(a + step, total), orbits=True)
+                    for a in range(0, total, step)
+                ]
+                assert all(piece.shape[1:] == (r, m) for piece in pieces)
+                assert np.concatenate(pieces).tolist() == want, (m, r, step)
+
+
+def test_orbit_bases_at_q2_are_every_basis():
+    for m in range(7):
+        for r in range(m + 1):
+            total = gaussian_binomial(m, r, 2)
+            for a, b in ((0, total), (total // 3, total // 2)):
+                assert np.array_equal(
+                    subspace_bases_array(2, m, r, a, b, orbits=True),
+                    subspace_bases_array(2, m, r, a, b),
+                )
+            assert representative_count(2, m, r) == total
 
 
 def test_chunk_rows_bound_rows_and_bytes():
