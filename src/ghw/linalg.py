@@ -294,9 +294,8 @@ def _representatives_below(q: int, m: int, r: int, x: int) -> int:
         a = left[j]
         left[j] -= 1
         if j in led:
-            rest = ahead // q**a * q ** (a - 1)
-            below += digit * rest
-            ahead = rest
+            ahead //= q  # q^(a-1) fillings of this column after each digit
+            below += digit * ahead
             continue
         rest = ahead // _led(q, a)
         if digit == 0:
@@ -352,7 +351,7 @@ def subspace_bases_array(q: int, m: int, r: int, start: int, stop: int, orbits=F
     if not 0 <= start <= stop <= firsts[-1]:
         raise ValueError(f"range {start}..{stop} outside 0..{firsts[-1]}")
     represent = orbits and q > 2
-    if represent:
+    if represent:  # from here on, numbers count representatives
         firsts = reps
         start = _representatives_below(q, m, r, start)
         stop = _representatives_below(q, m, r, stop)
