@@ -20,7 +20,7 @@ from .field import Field, field_new
 from .formulas import NotApplicable, hierarchy_formula
 from .linalg import gaussian_binomial, representative_count
 from .reference import run_reference_checks
-from .simplicial import cardinality, normalize, normalize_sets, parse_sets, union_terms
+from .simplicial import normalize, normalize_sets, parse_sets, union_size, union_terms
 
 
 class CLIError(Exception):
@@ -67,13 +67,15 @@ def _resolve_cap(explicit=None) -> int:
         raise CLIError(str(exc)) from exc
 
 
-def _resolve_spec(args, field: Field, verbose_to=None):
+def _resolve_spec(args, verbose_to=None):
+    """The normalized spec, refused when D is empty.  Nothing is sized
+    here, so no cap refuses a request the closed forms can answer."""
     try:
         raw = parse_sets(args.sets)
         spec = normalize(args.m, raw, args.complement)
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
-    if cardinality(spec, field.q, args.max_enum) == 0:
+    if spec.empty:
         raise CLIError(f"defining set {spec.describe()} is empty")
     if verbose_to is not None:
         _, dropped = normalize_sets(raw)
@@ -106,7 +108,7 @@ def _print_hierarchy_text(field, spec, h, elapsed_ms):
 
 def cmd_params(args) -> int:
     field = _resolve_field(args)
-    spec = _resolve_spec(args, field, sys.stderr if args.verbose else None)
+    spec = _resolve_spec(args, sys.stderr if args.verbose else None)
     start = perf_counter()
     try:
         h = hierarchy_formula(field.q, spec)
@@ -134,7 +136,7 @@ def cmd_params(args) -> int:
 
 def cmd_hierarchy(args) -> int:
     field = _resolve_field(args)
-    spec = _resolve_spec(args, field, sys.stderr if args.verbose else None)
+    spec = _resolve_spec(args, sys.stderr if args.verbose else None)
     start = perf_counter()
     if args.method == "formula":
         h = hierarchy_formula(field.q, spec)
@@ -242,17 +244,17 @@ def cmd_verify_paper(args) -> int:
 def cmd_count(args) -> int:
     field = _resolve_field(args)
     q, m = field.q, args.m
+    if args.r is not None and not 1 <= args.r <= m:  # before sizing --sets
+        raise CLIError(f"--r must lie in 1..{m}, got {args.r}")
     small = None
     if args.sets:
         try:
             union_spec = normalize(args.m, parse_sets(args.sets), False)
         except ValueError as exc:
             raise CLIError(str(exc)) from exc
-        inside = cardinality(union_spec, q)
-        small = min(inside, q**m - inside)
         terms = union_terms(union_spec.sets)
-    if args.r is not None and not 1 <= args.r <= m:
-        raise CLIError(f"--r must lie in 1..{m}, got {args.r}")
+        inside = union_size(terms, q)
+        small = min(inside, q**m - inside)
     ranks = [args.r] if args.r is not None else list(range(1, m + 1))
     rows = []
     for r in ranks:

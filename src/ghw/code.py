@@ -88,7 +88,15 @@ A chunk still spans ``chunk_rows`` canonical candidates, and the cap
 checks count every canonical candidate, G(m, r); only the
 representatives among them are built (``subspace_bases_array`` with
 ``orbits``), up to (q-1)^(m-r) fewer rows, and a chunk may hold none.
-At q = 2 every basis is its own representative.
+At q = 2 every basis is its own representative, so the search asks for
+plain ranges there, which the oracle's calls (``orbits=False``) share in
+``subspace_bases_array``'s cache.
+
+A request builds one search context (``_search_context``) for all its
+ranks.  It resolves the cap once, refuses an empty D by
+``ComplexSpec.empty`` before any sizing, and walks the generators'
+``union_terms`` once: |U|, n, both side sizes and the U-hat table are
+read off those terms.
 """
 
 from __future__ import annotations
@@ -102,7 +110,7 @@ from itertools import islice
 
 import numpy as np
 
-from .config import check_cap
+from .config import check_cap, resolve_max_enum
 from .field import Field, matmul
 from .linalg import (
     _CHUNK_BYTES,
@@ -114,7 +122,7 @@ from .linalg import (
     subspace_count,
     subspace_from_rref,
 )
-from .simplicial import ComplexSpec, cardinality, k_space, member_codes, union_terms
+from .simplicial import ComplexSpec, k_space, member_codes, union_size, union_terms
 
 @dataclass(eq=False)
 class LinearCode:
@@ -129,9 +137,9 @@ class LinearCode:
 
 
 def build_code(field: Field, spec: ComplexSpec, max_enum=None) -> LinearCode:
-    codes = member_codes(spec, field.q, max_enum)
-    if not codes:
+    if spec.empty:
         raise ValueError(f"defining set {spec.describe()} is empty")
+    codes = member_codes(spec, field.q, max_enum)
     defining = codes_to_matrix(codes, field.q, spec.m)
     kernel = k_space(spec, field)
     k = spec.m - kernel.dim
@@ -191,7 +199,7 @@ class _SearchContext:
     small_outside: bool  # it is the complement of D, not D
     kernel_vectors: np.ndarray  # nonzero vectors of the kernel, (t, m)
     terms: dict  # union_terms of the generators
-    max_enum: int | None = None
+    max_enum: int  # the resolved cap
     table: np.ndarray | None = None  # _support_table, once a rank needs it
 
 
@@ -278,28 +286,30 @@ def _valid_mask(field: Field, bases: np.ndarray, kernel_vectors: np.ndarray):
 
 
 def _search_context(field: Field, spec: ComplexSpec, max_enum=None) -> _SearchContext:
-    union_spec = ComplexSpec(m=spec.m, sets=spec.sets, complement=False)
-    compl_spec = ComplexSpec(m=spec.m, sets=spec.sets, complement=True)
-    q = field.q
-    union_size = cardinality(union_spec, q, max_enum)
-    compl_size = q**spec.m - union_size
-    n = compl_size if spec.complement else union_size
-    if n == 0:
+    """Everything the ranks of one request share, with the cap resolved once
+    and the generators' ``union_terms`` walked once: |U|, n and both side
+    sizes are read off those terms."""
+    max_enum = resolve_max_enum(max_enum)
+    if spec.empty:
         raise ValueError(f"defining set {spec.describe()} is empty")
-    small_spec = union_spec if union_size <= compl_size else compl_spec
-    small = codes_to_matrix(member_codes(small_spec, q, max_enum), q, spec.m)
+    q, m = field.q, spec.m
+    terms = union_terms(spec.sets, max_enum)
+    union = union_size(terms, q)
+    # scan the smaller of U and its complement
+    small_spec = ComplexSpec(m=m, sets=spec.sets, complement=2 * union > q**m)
+    small = codes_to_matrix(member_codes(small_spec, q, max_enum), q, m)
     kernel = k_space(spec, field)
     check_cap(q**kernel.dim, max_enum, what="kernel vectors")
-    basis = np.asarray(kernel.basis, dtype=np.int64).reshape(kernel.dim, spec.m)
+    basis = np.asarray(kernel.basis, dtype=np.int64).reshape(kernel.dim, m)
     return _SearchContext(
         field=field,
         spec=spec,
-        n=n,
-        k=spec.m - kernel.dim,
+        n=q**m - union if spec.complement else union,
+        k=m - kernel.dim,
         small=small,
         small_outside=small_spec.complement != spec.complement,
         kernel_vectors=span_vectors(field, basis),
-        terms=union_terms(spec.sets, max_enum),
+        terms=terms,
         max_enum=max_enum,
     )
 
@@ -336,7 +346,9 @@ def _search(ctx: _SearchContext, r: int, threads: int = 1):
         over the valid candidates of the chunk at start, or None when none
         is valid."""
         # one basis per column orbit; see the module docstring
-        chunk = subspace_bases_array(q, m, r, start, min(start + step, total), orbits=True)
+        chunk = subspace_bases_array(
+            q, m, r, start, min(start + step, total), orbits=q > 2
+        )
         if not len(chunk):
             return None
         counts = _orthogonal_counts(field, chunk, ctx.small, table, side_outside)

@@ -337,7 +337,7 @@ def _select_tables(q: int, spec: ComplexSpec):
             picks.append(("T4:Table4", rows_disjoint(q, m, sizes)))
         return picks
 
-    if sizes[-1] == m:
+    if spec.empty:
         raise NotApplicable("a generator spans every coordinate, so the complement is empty")
     if q == 2 and sum(1 for a in sizes if a == m - 1) >= 2:
         raise NotApplicable(

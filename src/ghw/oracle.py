@@ -14,7 +14,9 @@ a table packed into 64-bit words; the codewords come from
 ``field.matmul``.  A subcode then costs a lookup of its r rows, an OR
 over them and a popcount.  The table is built, and subcodes are taken,
 in blocks of ``linalg.chunk_rows`` rows, so the memory of a block stays
-within ``linalg._CHUNK_BYTES`` whatever the code length.
+within ``linalg._CHUNK_BYTES`` whatever the code length.  Candidate
+ranges are asked for with ``orbits=False``, the key the search uses at
+q = 2, so a range both build is built once.
 
 The avoidance oracle answers the same question as the paired-extension
 construction: the largest dimension of a subspace meeting each of the
@@ -69,7 +71,7 @@ def _row_supports(code: LinearCode) -> np.ndarray:
     step = chunk_rows(16 * code.n)
     for s in range(0, total, step):
         stop = min(s + step, total)
-        messages = subspace_bases_array(field.q, code.k, 1, s, stop)[:, 0]
+        messages = subspace_bases_array(field.q, code.k, 1, s, stop, orbits=False)[:, 0]
         words = matmul(field, messages, gen)  # (c, n) codewords
         packed = np.packbits(words != 0, axis=1, bitorder="little")
         table[s:stop, : packed.shape[1]] = packed
@@ -91,7 +93,7 @@ def ghw_definitional(code: LinearCode, r: int, max_enum=None) -> int:
     step = chunk_rows(8 * r * table.shape[1])  # the gathered (c, r, words)
     best = None
     for s in range(0, total, step):
-        chunk = subspace_bases_array(q, k, r, s, min(s + step, total))
+        chunk = subspace_bases_array(q, k, r, s, min(s + step, total), orbits=False)
         index = chunk @ weights + offsets[np.argmax(chunk != 0, axis=2)]  # (c, r)
         support = np.bitwise_or.reduce(table[index], axis=1)  # (c, words)
         low = int(np.bitwise_count(support).sum(axis=1, dtype=np.int64).min())

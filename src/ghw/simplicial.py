@@ -25,6 +25,11 @@ intersections, never more than the 2^l - 1 generator subsets (20
 singletons give 21 terms).  Each c_S sums the signs (-1)^(|J|+1) of the
 subsets J meeting in S, so sum |c_S| q^|S|, which bounds every partial sum
 of the terms, is at most the subsets' sum_J q^|S_J|.
+
+A caller that needs sizes walks the terms once and reads them all off
+with ``union_size``: |U| itself, and q^m - |U| for the complement.
+Whether D is empty needs no size at all (``ComplexSpec.empty``), so it is
+decided before any walk, and no cap can refuse it.
 """
 
 from __future__ import annotations
@@ -45,6 +50,14 @@ class ComplexSpec:
     m: int
     sets: tuple
     complement: bool
+
+    @property
+    def empty(self) -> bool:
+        """Is D empty?  Exactly when the complement flag is on and [m] is a
+        generator: the union holds 0, so it is never empty, and it is all
+        of F^m exactly when it holds the all-ones vector, which lies in
+        F^S only for S = [m]."""
+        return self.complement and any(len(s) == self.m for s in self.sets)
 
     def describe(self) -> str:
         body = ";".join(",".join(str(x) for x in s) for s in self.sets)
@@ -127,9 +140,13 @@ def union_terms(sets, max_enum=None) -> dict:
     return terms
 
 
+def union_size(terms, q: int) -> int:
+    """|U| over GF(q) from its ``union_terms``: sum c_S q^|S|."""
+    return sum(c * q ** key.bit_count() for key, c in terms.items())
+
+
 def cardinality(spec: ComplexSpec, q: int, max_enum=None) -> int:
-    terms = union_terms(spec.sets, max_enum)
-    inside = sum(c * q ** key.bit_count() for key, c in terms.items())
+    inside = union_size(union_terms(spec.sets, max_enum), q)
     return q**spec.m - inside if spec.complement else inside
 
 
@@ -179,14 +196,14 @@ def k_space(spec: ComplexSpec, field: Field) -> Subspace:
     member is enumerated.  A face is a subset of some generator.  Without
     the complement flag K is the coordinate subspace off the union of the
     generators.  With it, D holds every vector whose support is not a
-    face: a generator equal to [m] leaves D empty and K = F^m, and
-    otherwise D holds every vector of full support.  For q > 2 those span
-    F^m (the all-ones vector minus itself with lambda outside {0, 1} at
-    position j is (1 - lambda) e_j), so K = 0.  For q = 2 let I hold the
-    i for which [m] - {i} is a generator: e_j lies in the span for every
-    j outside I and every non-face contains I, so K is the even-weight
-    vectors supported on I, of dimension max(0, |I| - 1).  The basis comes
-    from ``subspace_from_vectors``, so it is canonical.
+    face: an empty D (``ComplexSpec.empty``) gives K = F^m, and otherwise
+    D holds every vector of full support.  For q > 2 those span F^m (the
+    all-ones vector minus itself with lambda outside {0, 1} at position j
+    is (1 - lambda) e_j), so K = 0.  For q = 2 let I hold the i for which
+    [m] - {i} is a generator: e_j lies in the span for every j outside I
+    and every non-face contains I, so K is the even-weight vectors
+    supported on I, of dimension max(0, |I| - 1).  The basis comes from
+    ``subspace_from_vectors``, so it is canonical.
     """
     m = spec.m
     full = set(range(1, m + 1))
@@ -197,7 +214,7 @@ def k_space(spec: ComplexSpec, field: Field) -> Subspace:
 
     if not spec.complement:
         rows = [unit(i) for i in sorted(full - set().union(*gens))]
-    elif full in gens:
+    elif spec.empty:
         rows = [unit(i) for i in range(1, m + 1)]
     elif field.q > 2:
         rows = []

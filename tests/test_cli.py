@@ -324,6 +324,78 @@ def test_count_subspaces_notes_the_ranks_over_the_cap(capsys, monkeypatch):
     assert "note: over the enumeration cap 5000000 at r = 2, 3;" in capsys.readouterr().out
 
 
+def _count_walks(monkeypatch, walk=None):
+    """Count the calls of ``simplicial.union_terms`` from every module that
+    binds it; ``walk`` replaces the real walk when given."""
+    from ghw import code, simplicial
+
+    real = simplicial.union_terms
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return (walk or real)(*args, **kwargs)
+
+    for module in (simplicial, code, cli):
+        if getattr(module, "union_terms", None) is real:
+            monkeypatch.setattr(module, "union_terms", counting)
+    return calls
+
+
+def _all_but_one(m):
+    return ";".join(",".join(str(j) for j in range(1, m + 1) if j != i) for i in range(1, m + 1))
+
+
+@pytest.mark.parametrize(
+    "argv, walks",
+    [
+        (["params", "--q", "2", "--m", "18", "--sets", _all_but_one(18)], 1),
+        (["hierarchy", "--q", "3", "--m", "7", "--sets", "1,2,3;3,4,5;5,6,7"], 3),
+        (["count-subspaces", "--q", "3", "--m", "7", "--sets", "1,2,3;3,4,5;5,6,7"], 1),
+    ],
+    ids=["params-all-but-one", "hierarchy-q3m7", "count-subspaces"],
+)
+def test_inclusion_exclusion_walks_per_request_are_pinned(
+    capsys, monkeypatch, argv, walks
+):
+    """The spec is sized by one walk per layer that needs a size: the
+    search context (the 18 generators [18] - {i}, 262,143 terms, were
+    walked three times), and with hierarchy --method both also the closed
+    form and the union side's member cap.  Emptiness is read off the
+    generators, so the CLI walks nothing to refuse an empty D."""
+    calls = _count_walks(monkeypatch)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == walks
+
+
+def test_count_subspaces_checks_the_rank_before_sizing_the_sets(capsys, monkeypatch):
+    """An --r outside 1..m is refused before --sets is sized: the 20
+    generators [20] - {i} would take about a million terms."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("union_terms walked")
+
+    _count_walks(monkeypatch, refuse)
+    argv = ["count-subspaces", "--q", "2", "--m", "20", "--sets", _all_but_one(20), "--r", "0"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: --r must lie in 1..20, got 0\n"
+
+
+def test_a_small_cap_does_not_refuse_a_closed_form(capsys):
+    """Emptiness needs no sizing, so the CLI sizes nothing before the
+    closed form, and a --max-enum below the two generators' inclusion-
+    exclusion terms (three) refuses only a search.  The closed form sizes
+    the spec under the default cap, and the cap bounds enumeration, which
+    the formula does none of."""
+    argv = ["params", "--q", "2", "--m", "4", "--sets", "1,2;3,4", "--max-enum", "2"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("[7, 4, 2] code over GF(2), <1,2;3,4> in F^4\nmethod: formula ")
+    assert cli.main(["hierarchy", "--method", "brute"] + argv[1:]) == 3
+    assert "refusing to enumerate 3 inclusion-exclusion terms" in capsys.readouterr().err
+
+
 # ---- exit codes under failure ----------------------------------------------
 
 

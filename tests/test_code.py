@@ -16,6 +16,7 @@ from ghw.code import (
     WeightHierarchy,
     _character_sums,
     _orthogonal_counts,
+    _search,
     _search_context,
     _support_table,
     _uses_character_sum,
@@ -77,6 +78,21 @@ def test_build_code_rejects_empty_defining_set():
     spec = normalize(3, [[1, 2, 3]], True)
     with pytest.raises(ValueError):
         build_code(F2, spec)
+
+
+def test_an_empty_defining_set_is_refused_before_any_member(monkeypatch):
+    """An empty D is read off the generators, so neither the code nor the
+    search context enumerates or allocates anything to refuse it."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sized or enumerated an empty D")
+
+    monkeypatch.setattr("ghw.code.member_codes", refuse)
+    monkeypatch.setattr("ghw.code.union_terms", refuse)
+    spec = normalize(16, [list(range(1, 17))], True)
+    for build in (build_code, _search_context):
+        with pytest.raises(ValueError, match=r"defining set <1,.*,16>\^c in F\^16 is empty"):
+            build(F2, spec)
 
 
 def test_hierarchy_validation():
@@ -277,6 +293,34 @@ def test_valid_mask_matches_a_rank_check(field):
                     for b in bases
                 ]
                 assert got.tolist() == want, (m, kernel, r)
+
+
+def test_the_search_context_resolves_the_cap_once(monkeypatch):
+    """The context holds the resolved cap, so its ranks' cap checks read
+    no GHW_MAX_ENUM; a malformed value still fails the next context."""
+    spec = normalize(4, [[1, 2], [3, 4]], False)
+    monkeypatch.setenv("GHW_MAX_ENUM", "1000")
+    ctx = _search_context(F2, spec)
+    assert ctx.max_enum == 1000
+    monkeypatch.setenv("GHW_MAX_ENUM", "lots")
+    assert _search(ctx, 2)[0] == ghw_prop1(F2, spec, 2, max_enum=1000)[0]
+    with pytest.raises(ValueError, match="GHW_MAX_ENUM must be an integer, got 'lots'"):
+        _search_context(F2, spec)
+
+
+def test_the_oracle_reuses_the_searchs_ranges_at_q2():
+    """At q = 2 every basis is its own column-orbit representative, so the
+    search asks for the plain ranges under the oracle's cache key: after
+    the search on thm2 (q=2 m=5, every rank one chunk), the oracle's
+    support table and all five ranks are cache hits."""
+    spec = normalize(5, [[1, 2, 3], [3, 4, 5]], False)
+    subspace_bases_array.cache_clear()
+    hierarchy_prop1(F2, spec)
+    code = build_code(F2, spec)
+    before = subspace_bases_array.cache_info()
+    assert hierarchy_definitional(code).values == (4, 6, 10, 12, 13)
+    after = subspace_bases_array.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (0, 6)
 
 
 def test_rank_bounds_are_enforced():

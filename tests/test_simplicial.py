@@ -181,6 +181,22 @@ def test_cardinality_of_many_singletons_is_fast():
     assert perf_counter() - start < 1
 
 
+def test_emptiness_is_read_off_the_generators():
+    """``ComplexSpec.empty`` (complement flag on, [m] a generator) equals
+    cardinality 0 on every antichain of at most three generators, m <= 5,
+    over GF(2) and GF(3), both flags."""
+    for m in range(1, 6):
+        subsets = [c for k in range(1, m + 1) for c in combinations(range(1, m + 1), k)]
+        for count in range(1, 4):
+            for family in combinations(subsets, count):
+                if any(set(a) < set(b) for a in family for b in family):
+                    continue
+                for complement in (False, True):
+                    spec = normalize(m, family, complement)
+                    for q in (2, 3):
+                        assert spec.empty == (cardinality(spec, q) == 0), (spec, q)
+
+
 def test_union_and_complement_partition_the_space():
     spec = normalize(3, [[1], [2, 3]], False)
     flipped = normalize(3, [[1], [2, 3]], True)
