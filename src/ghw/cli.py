@@ -247,6 +247,7 @@ def cmd_count(args) -> int:
     if args.r is not None and not 1 <= args.r <= m:  # before sizing --sets
         raise CLIError(f"--r must lie in 1..{m}, got {args.r}")
     small = None
+    k = m  # the dimension the search spans: with --sets, that of the union
     if args.sets:
         try:
             union_spec = normalize(args.m, parse_sets(args.sets), False)
@@ -255,19 +256,20 @@ def cmd_count(args) -> int:
         terms = union_terms(union_spec.sets)
         inside = union_size(terms, q)
         small = min(inside, q**m - inside)
+        k = len(set().union(*union_spec.sets))
     ranks = [args.r] if args.r is not None else list(range(1, m + 1))
     rows = []
     for r in ranks:
         count = gaussian_binomial(m, r, q)
         ops = None
-        if small is not None:  # per basis scored, the product of the search's pick
+        if small is not None and r <= k:  # per basis scored, the search's pick
             width = q**r if _uses_character_sum(field, m, r, small, terms) else small
-            ops = representative_count(q, m, r) * width * m
-        rows.append((r, count, ops))
-    total = sum(c for _, c, _ in rows)
+            ops = representative_count(q, k, r) * width * k
+        rows.append((r, count, gaussian_binomial(k, r, q), ops))
+    total = sum(c for _, c, _, _ in rows)
     if args.format == "json":
         payload = {"q": q, "e": field.e, "m": m, "rows": [], "total": total}
-        for r, count, ops in rows:
+        for r, count, _, ops in rows:
             entry = {"r": r, "count": count}
             if ops is not None:
                 entry["search_ops"] = ops
@@ -275,15 +277,15 @@ def cmd_count(args) -> int:
         print(json.dumps(payload))
     else:
         print(f"subspaces of F_{q}^{m}" + (f" (defining side size {small})" if small else ""))
-        for r, count, ops in rows:
+        for r, count, _, ops in rows:
             line = f"  r={r:<2} count={count}"
             if ops is not None:
                 line += f"  est_search_ops={ops}"
             print(line)
         print(f"total candidates: {total}")
         cap = _resolve_cap()
-        over = [str(r) for r, count, _ in rows if count > cap]
-        if over:  # the cap applies to each rank's count
+        over = [str(r) for r, _, searched, _ in rows if searched > cap]
+        if over:  # the cap applies to each rank's count of candidates searched
             print(
                 f"note: over the enumeration cap {cap} at r = {', '.join(over)}; "
                 "a search needs --max-enum or GHW_MAX_ENUM raised"

@@ -3,14 +3,33 @@ for their generalized Hamming weights.
 
 The code attached to a defining set D in F_q^m is the image of
 x -> (x . d for d in D), one coordinate per defining vector, columns in
-ascending code order.  Its dimension is m minus the dimension of
+ascending code order.  Its dimension is k = m minus the dimension of
 K = (span D) orthogonal.
 
-The weight d_r equals n minus the largest number of defining vectors
-in H-perp over the r-dimensional subspaces H meeting K trivially (Wei's
-identity for these codes):
+The r-dimensional subcodes of the code correspond one to one to the
+r-dimensional subspaces of F^m / K (Wei, 1991).  D lies in K-perp, and
+for d in K-perp, d is orthogonal to H exactly when it is orthogonal to
+H + K, so |D meet H-perp| depends only on H + K.  Let C hold the columns
+off the pivots of K's RREF basis: every nonzero vector of K is nonzero at
+some pivot, so the coordinate subspace F^C meets K only in zero, and
+|C| = k.  Each subspace of F^m / K then has exactly one lift H inside
+F^C, and
 
-    d_r = n - max |D meet H-perp|
+    d_r = n - max |D meet H-perp|  over the r-dim H inside F^C.
+
+For a spec without the complement flag C is the union of the generators;
+with it K is zero except at q = 2, where C is [m] minus all but the last
+of the coordinates i whose [m] - {i} is a generator (``k_space``).  The
+search walks the G(k, r) canonical bases of F^C, never builds a
+candidate that meets K, and reads every vector at C's columns only: for
+H inside F^C, whether v lies in H-perp depends only on v restricted to
+C.  Since |D meet H-perp| is at most |(H + K)-perp| = q^(k-r), the scan
+of a rank stops at the first chunk reaching that bound (less one for a
+complement, which never holds the zero vector).  The witness of a rank
+is the first optimal H inside F^C in canonical order, embedded at C's
+columns; canonical order on F^C is a subsequence of canonical order on
+F^m.  Before it is returned, ``_valid_mask`` checks by a rank count that
+it meets K only in zero.
 
 D is the union U of coordinate subspaces, or its complement under the
 complement flag.  The search counts whichever of D and its complement in
@@ -22,7 +41,7 @@ give the same count for every basis (``_orthogonal_counts``).
 The member product counts the scanned side directly: v lies in H-perp
 exactly when B v = 0 for the basis matrix B of H, so the chunk is scored
 by one ``field.matmul`` against the side, the same GF(q) product the
-kernel mask and the oracle use.
+oracle uses.
 
 The character sum counts U through H instead.  With chi the canonical
 additive character of GF(q), chi(x) = exp(2 pi i Tr(x) / p), the
@@ -40,7 +59,8 @@ every GF(q), and a complement side counts q^(m-r) minus it.
 ``_character_sums`` takes the q^r vectors of every H in one
 ``field.matmul`` of all coefficient vectors against the chunk, packs
 their supports into bitmasks and adds up their entries in a 2^m table of
-U-hat.
+U-hat.  A basis column at coordinate j of F^m weighs 2^j in the packing,
+so the table is the same whatever C is.
 
 Per basis the member product has min(e, 2) r |side| entries and the
 character sum q^r m e, so the character sum wins at low ranks and
@@ -48,29 +68,31 @@ against large sides.  ``_uses_character_sum`` takes it when its product
 is the smaller, the table's 2^m x 8 bytes fit ``linalg._CHUNK_BYTES``,
 and q^r sum_T |c_T| q^|T|, which bounds every partial sum, is below
 2^63, so int64 holds the sum exactly.  It reads only the field, m, r,
-the side's size and the terms, so no option or run changes the pick.
+the side's size and the terms, so no option or run changes the pick;
+it prices the character sum at the ambient m, never below the k columns
+a chunk spans.
 ``_search`` makes the pick once per rank and builds the table onto the
 search context before any thread starts, so threads only read it and
 need no lock, and the table goes with the context.
 The counts being identical, the chunk step, the orbit representatives,
-the kernel mask, the cap checks and their order are untouched, and so are
-values, ``--verbose`` witnesses and the chunk where the early exit fires.
+the cap checks and their order are untouched, and so are values,
+``--verbose`` witnesses and the chunk where the early exit fires.
 
 Each rank is scanned in canonical order, one chunk of candidate bases at
 a time, each chunk built on demand.  Chunks hold ``linalg.chunk_rows``
-rows, so the products of scoring and of the kernel mask stay within
-``linalg._CHUNK_BYTES`` however large the scanned side.  A chunk reduces
+rows, so the products of scoring stay within ``linalg._CHUNK_BYTES``
+however large the scanned side.  A chunk reduces
 to its best value and a copy of its first optimal basis, so nothing of
 the rank outlives the scan, and the scan stops at the first chunk that
 reaches the bound.  With threads (never more than the CPUs), at most
 2 x threads chunks are in flight and they are absorbed in order, which
 gives the serial result and witness.
 
-Over q > 2 only one basis per column orbit of each chunk is built,
-scored and masked.  D is a union of coordinate subspaces or its
-complement, and K is a coordinate subspace, so both are fixed by every
-coordinate scaling L in (F_q^*)^m; since (HL)-perp = L^-1 H-perp, the
-map H -> HL changes neither |D meet H-perp| nor whether H meets K.  The
+Over q > 2 only one basis per column orbit of each chunk is built and
+scored.  D is a union of coordinate subspaces or its complement, and
+F^C is a coordinate subspace, so both are fixed by every coordinate
+scaling L in (F_q^*)^m; since (HL)-perp = L^-1 H-perp, the map H -> HL
+keeps H inside F^C and leaves |D meet H-perp| unchanged.  The
 representative kept is the canonical RREF basis whose every column has
 element code 1 as its first nonzero entry:
 
@@ -85,9 +107,9 @@ element code 1 as its first nonzero entry:
   of the full scan.
 
 A chunk still spans ``chunk_rows`` canonical candidates, and the cap
-checks count every canonical candidate, G(m, r); only the
+checks count every canonical candidate, G(k, r); only the
 representatives among them are built (``subspace_bases_array`` with
-``orbits``), up to (q-1)^(m-r) fewer rows, and a chunk may hold none.
+``orbits``), up to (q-1)^(k-r) fewer rows, and a chunk may hold none.
 At q = 2 every basis is its own representative, so the search asks for
 plain ranges there, which the oracle's calls (``orbits=False``) share in
 ``subspace_bases_array``'s cache.
@@ -96,7 +118,8 @@ A request builds one search context (``_search_context``) for all its
 ranks.  It resolves the cap once, refuses an empty D by
 ``ComplexSpec.empty`` before any sizing, and walks the generators'
 ``union_terms`` once: |U|, n, both side sizes and the U-hat table are
-read off those terms.
+read off those terms.  It decodes the scanned side at C's columns only,
+and enumerates no vector of K.
 """
 
 from __future__ import annotations
@@ -117,7 +140,7 @@ from .linalg import (
     Subspace,
     chunk_rows,
     codes_to_matrix,
-    span_vectors,
+    rref,
     subspace_bases_array,
     subspace_count,
     subspace_from_rref,
@@ -195,27 +218,35 @@ class _SearchContext:
     spec: ComplexSpec
     n: int
     k: int
-    small: np.ndarray  # (Ns, m) matrix of the scanned side
+    columns: np.ndarray  # C, the k coordinates of F^m the search spans
+    small: np.ndarray  # (Ns, k) matrix of the scanned side at C's columns
     small_outside: bool  # it is the complement of D, not D
-    kernel_vectors: np.ndarray  # nonzero vectors of the kernel, (t, m)
+    kernel: Subspace  # K, which every witness must meet only in zero
     terms: dict  # union_terms of the generators
     max_enum: int  # the resolved cap
     table: np.ndarray | None = None  # _support_table, once a rank needs it
 
 
 def _orthogonal_counts(
-    field: Field, bases: np.ndarray, vectors: np.ndarray, table=None, outside=False
+    field: Field,
+    bases: np.ndarray,
+    vectors: np.ndarray,
+    table=None,
+    outside=False,
+    columns=None,
 ):
     """For each candidate basis B in the stack, count the rows v of
     ``vectors`` with Bv = 0.
 
     Without ``table`` the member product counts them.  With it, ``vectors``
-    must be the union U of coordinate subspaces, or with ``outside`` its
-    complement in F^m, and ``table`` U's ``_support_table``; the character
-    sum then gives the same counts."""
-    _, r, m = bases.shape
+    must be the union U of coordinate subspaces of F^m, or with ``outside``
+    its complement, read at the coordinates ``columns`` of the bases'
+    columns (all of them when not given), and ``table`` U's
+    ``_support_table``; the character sum then gives the same counts."""
+    r = bases.shape[1]
     if table is not None:
-        inside = _character_sums(field, bases, table)
+        inside = _character_sums(field, bases, table, columns)
+        m = len(table).bit_length() - 1  # the table has 2^m entries
         return field.q ** (m - r) - inside if outside else inside
     return len(vectors) - np.any(matmul(field, bases, vectors.T), axis=1).sum(axis=1)
 
@@ -248,41 +279,43 @@ def _support_table(q: int, m: int, terms) -> np.ndarray:
     return table
 
 
-def _character_sums(field: Field, bases: np.ndarray, table: np.ndarray):
+def _character_sums(field: Field, bases: np.ndarray, table: np.ndarray, columns=None):
     """|U meet H-perp| for each H spanned by a basis of the stack, as
     q^-r sum over h in H of U-hat(supp h): every coefficient vector times
     every basis in one product, the supports of the q^r results per basis
     packed into bitmasks of the narrowest unsigned type, each looked up in
-    the table.  A stack of tables (..., 2^m) gives a stack of counts."""
-    c, r, m = bases.shape
+    the table.  Basis column j sits at coordinate ``columns[j]`` of F^m
+    (at j when not given) and weighs 2^columns[j].  A stack of tables
+    (..., 2^m) gives a stack of counts."""
+    c, r, k = bases.shape
     q = field.q
-    rows = bases.transpose(1, 2, 0).reshape(r, m * c)  # coordinate major
+    rows = bases.transpose(1, 2, 0).reshape(r, k * c)  # coordinate major
     span = matmul(field, codes_to_matrix(range(q**r), q, r), rows)
-    word = np.min_scalar_type(2**m - 1)
+    word = np.min_scalar_type(table.shape[-1] - 1)
+    if columns is None:
+        columns = np.arange(k)
     supports = np.einsum(
         "hjc,j->hc",
-        (span.reshape(q**r, m, c) != 0).view(np.uint8),
-        2 ** np.arange(m, dtype=word),
+        (span.reshape(q**r, k, c) != 0).view(np.uint8),
+        2 ** columns.astype(word),
         dtype=word,
     )
     return table[..., supports].sum(axis=-2) // q**r
 
 
-def _valid_mask(field: Field, bases: np.ndarray, kernel_vectors: np.ndarray):
-    """True where the candidate meets the kernel only in zero.
-
-    A vector sits in the row space of an RREF basis exactly when the
-    combination read off at the pivot columns reproduces it, so one
-    reconstruction per (candidate, kernel vector) pair settles the mask.
-    Pivot columns are recovered per candidate as the first nonzero entry
-    of each basis row, which RREF guarantees is a leading one.
-    """
-    if kernel_vectors.shape[0] == 0:
+def _valid_mask(field: Field, bases: np.ndarray, kernel: Subspace) -> np.ndarray:
+    """True where the candidate meets the kernel only in zero: where its
+    r rows stacked on K's basis have rank r + dim K.  The search never
+    builds a candidate that meets K, so it runs this once per rank, on the
+    witness, as a check of that.  A zero K is met by nothing, so it is
+    settled without a reduction."""
+    if not kernel.dim:
         return np.ones(len(bases), dtype=bool)
-    pivcols = np.argmax(bases != 0, axis=2)  # (c, r)
-    coeffs = np.transpose(kernel_vectors[:, pivcols], (1, 0, 2))  # (c, t, r)
-    recon = matmul(field, coeffs, bases)  # (c, t, m)
-    return ~np.all(recon == kernel_vectors, axis=2).any(axis=1)
+    r = bases.shape[1]
+    return np.array(
+        [rref(field, basis + list(kernel.basis))[1] == r + kernel.dim for basis in bases.tolist()],
+        dtype=bool,
+    )
 
 
 def _search_context(field: Field, spec: ComplexSpec, max_enum=None) -> _SearchContext:
@@ -295,34 +328,35 @@ def _search_context(field: Field, spec: ComplexSpec, max_enum=None) -> _SearchCo
     q, m = field.q, spec.m
     terms = union_terms(spec.sets, max_enum)
     union = union_size(terms, q)
+    kernel = k_space(spec, field)
+    # off the pivots of K's RREF basis: F^C meets K only in zero
+    columns = np.array([j for j in range(m) if j not in kernel.pivots], dtype=np.int64)
     # scan the smaller of U and its complement
     small_spec = ComplexSpec(m=m, sets=spec.sets, complement=2 * union > q**m)
-    small = codes_to_matrix(member_codes(small_spec, q, max_enum), q, m)
-    kernel = k_space(spec, field)
-    check_cap(q**kernel.dim, max_enum, what="kernel vectors")
-    basis = np.asarray(kernel.basis, dtype=np.int64).reshape(kernel.dim, m)
+    small = codes_to_matrix(member_codes(small_spec, q, max_enum), q, m, columns)
     return _SearchContext(
         field=field,
         spec=spec,
         n=q**m - union if spec.complement else union,
-        k=m - kernel.dim,
+        k=len(columns),
+        columns=columns,
         small=small,
         small_outside=small_spec.complement != spec.complement,
-        kernel_vectors=span_vectors(field, basis),
+        kernel=kernel,
         terms=terms,
         max_enum=max_enum,
     )
 
 
 def _search(ctx: _SearchContext, r: int, threads: int = 1):
-    """d_r and its witness: (n - max |D meet H-perp| over the valid r-dim
-    H, the first H in canonical order attaining the max)."""
+    """d_r and its witness: (n - max |D meet H-perp| over the r-dim H inside
+    F^C, the first such H in canonical order attaining the max)."""
     if not 1 <= r <= ctx.k:
         raise ValueError(f"r must lie in 1..{ctx.k}, got {r}")
     field, spec = ctx.field, ctx.spec
-    q, m = field.q, spec.m
-    total = subspace_count(q, m, r, ctx.max_enum)
-    # each chunk's product expands the scanned side to |side| m e^2 F_p entries
+    q, m, k = field.q, spec.m, ctx.k
+    total = subspace_count(q, k, r, ctx.max_enum)
+    # each chunk's product expands the scanned side to |side| k e^2 F_p entries
     check_cap(
         ctx.small.size * field.e**2, ctx.max_enum, what="F_p entries of the scanned side"
     )
@@ -330,12 +364,11 @@ def _search(ctx: _SearchContext, r: int, threads: int = 1):
     # the scanned side is F^m minus the union exactly when it is outside D
     # and D is the union, or inside D and D is the complement
     side_outside = ctx.small_outside != spec.complement
-    # the zero vector lies in every H-perp and never in a complement
-    bound = per_h - spec.complement
-    # per row: scoring's product and digit, and the mask's two (t, m) products
-    step = chunk_rows(
-        8 * (min(field.e, 2) * r * len(ctx.small) + 2 * len(ctx.kernel_vectors) * m)
-    )
+    # D lies in K-perp, so D meet H-perp lies in (H + K)-perp, of dimension
+    # k - r; the zero vector lies in every H-perp and never in a complement
+    bound = q ** (k - r) - spec.complement
+    # per row: scoring's product and digit
+    step = chunk_rows(8 * min(field.e, 2) * r * len(ctx.small))
     character_sum = _uses_character_sum(field, m, r, len(ctx.small), ctx.terms)
     if character_sum and ctx.table is None:  # before any thread starts: no lock
         ctx.table = _support_table(q, m, ctx.terms)
@@ -343,22 +376,17 @@ def _search(ctx: _SearchContext, r: int, threads: int = 1):
 
     def score(start):
         """(best |D meet H-perp|, a copy of the first basis attaining it)
-        over the valid candidates of the chunk at start, or None when none
-        is valid."""
+        over the chunk at start, or None when it holds no basis."""
         # one basis per column orbit; see the module docstring
         chunk = subspace_bases_array(
-            q, m, r, start, min(start + step, total), orbits=q > 2
+            q, k, r, start, min(start + step, total), orbits=q > 2
         )
         if not len(chunk):
             return None
-        counts = _orthogonal_counts(field, chunk, ctx.small, table, side_outside)
+        counts = _orthogonal_counts(field, chunk, ctx.small, table, side_outside, ctx.columns)
         inside = per_h - counts if ctx.small_outside else counts
-        valid = _valid_mask(field, chunk, ctx.kernel_vectors)
-        if not valid.any():
-            return None
-        vals = inside[valid]
-        pos = int(np.argmax(vals))
-        return int(vals[pos]), chunk[np.flatnonzero(valid)[pos]].copy()
+        pos = int(np.argmax(inside))
+        return int(inside[pos]), chunk[pos].copy()
 
     best = witness = None
 
@@ -389,14 +417,20 @@ def _search(ctx: _SearchContext, r: int, threads: int = 1):
                 s = next(starts, None)
                 if s is not None:
                     window.append(pool.submit(score, s))
-    return ctx.n - best, subspace_from_rref(witness)
+    embedded = np.zeros((r, m), dtype=np.int64)
+    embedded[:, ctx.columns] = witness
+    if not _valid_mask(field, embedded[None], ctx.kernel).all():
+        raise RuntimeError(f"the rank-{r} witness meets the kernel of {spec.describe()}")
+    return ctx.n - best, subspace_from_rref(embedded)
 
 
 def ghw_prop1(field: Field, spec: ComplexSpec, r: int, threads: int = 1, max_enum=None):
     """r-th generalized Hamming weight by exhaustive subspace search.
 
     Returns (value, witness) where the witness is the first subspace in
-    canonical order attaining the optimum.
+    canonical order attaining the optimum among the r-dim subspaces of
+    F^C, C the coordinates off the pivots of the kernel's RREF basis (all
+    of F^m when the kernel is zero).
     """
     return _search(_search_context(field, spec, max_enum), r, threads)
 
@@ -405,11 +439,11 @@ def hierarchy_prop1(
     field: Field, spec: ComplexSpec, threads: int = 1, max_enum=None
 ) -> WeightHierarchy:
     """Full weight hierarchy by subspace search, one search per rank,
-    keeping each rank's witness.  Every rank's candidate count is checked
-    against the cap before the first search starts."""
+    keeping each rank's witness.  Every rank's candidate count, G(k, r),
+    is checked against the cap before the first search starts."""
     ctx = _search_context(field, spec, max_enum)
     for r in range(1, ctx.k + 1):
-        subspace_count(ctx.field.q, ctx.spec.m, r, ctx.max_enum)
+        subspace_count(ctx.field.q, ctx.k, r, ctx.max_enum)
     found = [_search(ctx, r, threads) for r in range(1, ctx.k + 1)]
     values = tuple(value for value, _ in found)
     return WeightHierarchy(

@@ -250,19 +250,41 @@ def test_params_search_takes_n_and_k_from_the_search(capsys, monkeypatch):
     )
 
 
+def test_a_large_kernel_is_never_enumerated(capsys, monkeypatch):
+    """The search spans a coordinate complement of K and lists no vector
+    of it: q=2 m=30 `1,2;2,3` has a kernel of 2^27 vectors, and q=3 m=24
+    `1,2,3;3,4,5` one of 3^19 with G(24, 1) = 1.4e11 lines of F^24; both
+    answer from the G(k, r) subspaces of F^k, the second with the
+    hierarchy of the same generators at m = 5."""
+    monkeypatch.delenv("GHW_MAX_ENUM", raising=False)
+    assert cli.main(["params", "--q", "2", "--m", "30", "--sets", "1,2;2,3"]) == 0
+    assert capsys.readouterr().out.startswith("[6, 3, 2] code over GF(2), <1,2;2,3> in F^30\n")
+    hierarchies = []
+    for m in ("24", "5"):
+        argv = ["hierarchy", "--method", "brute", "--q", "3", "--m", m, "--sets", "1,2,3;3,4,5"]
+        assert cli.main(argv + ["--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        hierarchies.append((payload["n"], payload["k"], payload["hierarchy"]))
+    assert hierarchies[0] == hierarchies[1] == (51, 5, [18, 24, 42, 48, 50])
+
+
 def test_count_subspaces_json(capsys):
+    """`count` is G(m, r); `search_ops` prices the search, which spans
+    F^k for k = |union| = 2 here: G(2, 2) = 1 basis times the 4 vectors
+    of the side times k, and no ops above rank k."""
     ret = cli.main(["count-subspaces", "--q", "2", "--m", "4", "--format", "json"])
     assert ret == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["total"] == 66
     assert payload["rows"][0] == {"r": 1, "count": 15}
-    ret = cli.main(
-        ["count-subspaces", "--q", "2", "--m", "4", "--r", "2", "--sets", "1,2", "--format", "json"]
-    )
-    assert ret == 0
+    argv = ["count-subspaces", "--q", "2", "--m", "4", "--sets", "1,2", "--format", "json"]
+    assert cli.main(argv + ["--r", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["rows"] == [{"r": 2, "count": 35, "search_ops": 35 * 4 * 4}]
+    assert payload["rows"] == [{"r": 2, "count": 35, "search_ops": 1 * 4 * 2}]
     assert payload["total"] == 35
+    assert cli.main(argv) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [sorted(row) for row in rows] == [["count", "r", "search_ops"]] * 2 + [["count", "r"]] * 2
 
 
 def test_count_subspaces_estimates_the_method_the_search_picks(capsys):
@@ -312,13 +334,17 @@ def test_count_subspaces_has_no_complement_flag(capsys):
 
 
 def test_count_subspaces_notes_the_ranks_over_the_cap(capsys, monkeypatch):
-    """The cap applies to each rank's count, not to their sum."""
+    """The cap applies to each rank's count of the candidates a search
+    would walk, G(k, r), not to their sum."""
     monkeypatch.delenv("GHW_MAX_ENUM", raising=False)
     assert cli.main(["count-subspaces", "--q", "13", "--m", "5"]) == 0
     out = capsys.readouterr().out
     assert "total candidates: 10581823" in out and "note:" not in out
     assert cli.main(["count-subspaces", "--q", "2", "--m", "10"]) == 0
     assert "note: over the enumeration cap 10000000 at r = 4, 5, 6;" in capsys.readouterr().out
+    # the search spans the union's 8 coordinates: at most G(8, 4) = 200,787
+    assert cli.main(["count-subspaces", "--q", "2", "--m", "10", "--sets", "1,2,3,4;4,5,6,7,8"]) == 0
+    assert "note:" not in capsys.readouterr().out
     monkeypatch.setenv("GHW_MAX_ENUM", "5000000")
     assert cli.main(["count-subspaces", "--q", "13", "--m", "5"]) == 0
     assert "note: over the enumeration cap 5000000 at r = 2, 3;" in capsys.readouterr().out

@@ -27,6 +27,7 @@ from ghw.code import (
 )
 from ghw.config import ResourceCapError
 from ghw.field import field_new
+from ghw.formulas import NotApplicable, hierarchy_formula
 from ghw.linalg import (
     _CHUNK,
     _CHUNK_BYTES,
@@ -34,7 +35,6 @@ from ghw.linalg import (
     codes_to_matrix,
     enumerate_subspaces,
     gaussian_binomial,
-    rref,
     span_vectors,
     subspace_bases_array,
     subspace_from_vectors,
@@ -133,6 +133,31 @@ def test_search_agrees_with_subcode_enumeration():
             done += 1
 
 
+def test_missing_coordinates_search_as_the_relabeled_spec():
+    """A plain spec whose generators miss coordinates is searched on the
+    coordinates of their union, C: it has the n, k and values of the same
+    generators relabeled onto 1..|C|, and its witnesses are theirs placed
+    at C's columns."""
+    rng = random.Random(20)
+    for field in (F2, F3, F4):
+        for _ in range(8):
+            m = rng.randrange(3, 7)
+            union = sorted(rng.sample(range(1, m + 1), rng.randrange(1, m)))
+            # the singletons make the union exactly C; normalize drops the covered ones
+            sets = [rng.sample(union, rng.randrange(1, len(union) + 1)) for _ in range(3)]
+            sets += [[j] for j in union]
+            label = {j: i for i, j in enumerate(union, start=1)}
+            spec = normalize(m, sets, False)
+            relabeled = normalize(len(union), [[label[j] for j in s] for s in sets], False)
+            got, want = hierarchy_prop1(field, spec), hierarchy_prop1(field, relabeled)
+            assert (got.n, got.k, got.values) == (want.n, want.k, want.values), spec
+            columns = [j - 1 for j in union]
+            for wide, narrow in zip(got.witnesses, want.witnesses):
+                basis = np.array(wide.basis)
+                assert not np.delete(basis, columns, axis=1).any()
+                assert basis[:, columns].tolist() == [list(row) for row in narrow.basis]
+
+
 def test_search_handles_extension_fields():
     spec = normalize(3, [[1], [2, 3]], False)
     searched = hierarchy_prop1(F4, spec)
@@ -140,17 +165,18 @@ def test_search_handles_extension_fields():
     assert searched.values == brute.values
 
 
-# sha256 of the records below as the op-table search produced them
-_EXTENSION_WITNESS_SHA256 = "125e1dc65a73aa631f619f54cb0a6a7b1053fa51e7aa46b48911413c9dcbdea3"
+# sha256 of the records below as the search over F^C produced them: on
+# specs with a kernel the witness is the first optimum inside F^C
+_EXTENSION_WITNESS_SHA256 = "2fc1291247d684b0435102273baa93929d9c746c0d664fb9e097eb9bd2b5c4db"
 
 
-def _antichains(m):
-    """Every family of one to three pairwise incomparable nonempty subsets
-    of 1..m, sorted by (count, family)."""
+def _antichains(m, most=3):
+    """Every family of one to ``most`` pairwise incomparable nonempty
+    subsets of 1..m, sorted by (count, family)."""
     subsets = [c for k in range(1, m + 1) for c in combinations(range(1, m + 1), k)]
     families = [
         family
-        for count in (1, 2, 3)
+        for count in range(1, most + 1)
         for family in combinations(subsets, count)
         if not any(set(a) < set(b) for a in family for b in family)
     ]
@@ -183,6 +209,41 @@ def test_extension_field_witnesses_are_pinned():
                     records += 1
     assert records == 400
     assert digest.hexdigest() == _EXTENSION_WITNESS_SHA256
+
+
+# sha256 of the (q, m, sets, complement, values) records below
+_KERNEL_SWEEP_SHA256 = "5996ce1a2988daf5e9e5db1542e145e89c1b90f6b2454a5362222095a8eae6e5"
+
+
+def test_every_small_kernel_spec_agrees_with_the_subcode_enumeration():
+    """Every antichain whose spec has a nonzero kernel, both flags, no
+    sampling: q=2 at m=4 (at most four generators), m=5 (three) and m=6
+    (two); q=3 m=4, GF(4) m=3 and q=5 m=3 (three).  The search over F^C
+    equals the definitional oracle on all 1,851, and so does every closed
+    form that claims one (none does today: the tables need a covering
+    union, or a complement with K = 0)."""
+    digest = hashlib.sha256()
+    records = 0
+    for (p, e), m, most in (
+        ((2, 1), 4, 4), ((2, 1), 5, 3), ((2, 1), 6, 2),
+        ((3, 1), 4, 3), ((2, 2), 3, 3), ((5, 1), 3, 3),
+    ):
+        field = field_new(p, e)
+        for family in _antichains(m, most):
+            for complement in (False, True):
+                spec = normalize(m, [list(s) for s in family], complement)
+                if spec.empty or k_space(spec, field).dim == 0:
+                    continue
+                values = hierarchy_prop1(field, spec).values
+                assert values == hierarchy_definitional(build_code(field, spec)).values, spec
+                try:
+                    assert hierarchy_formula(field.q, spec).values == values, spec
+                except NotApplicable:
+                    pass
+                digest.update(repr((field.q, m, spec.sets, complement, values)).encode())
+                records += 1
+    assert records == 1851
+    assert digest.hexdigest() == _KERNEL_SWEEP_SHA256
 
 
 def test_witness_attains_the_weight():
@@ -269,8 +330,9 @@ def test_witnesses_skip_the_scalar_reduction(monkeypatch):
 @pytest.mark.parametrize("field", [F2, F3, F4], ids=["q2", "q3", "q4"])
 def test_valid_mask_matches_a_rank_check(field):
     """Every candidate at m <= 4, against every kernel k_space gives for
-    one or two generators with or without the complement flag: a basis
-    avoids K exactly when basis plus K has rank r + dim K."""
+    one or two generators with or without the complement flag: the rank
+    check (basis plus K has rank r + dim K) holds exactly when no nonzero
+    vector of the candidate's span is a vector of K, both spans listed."""
     q = field.q
     for m in range(1, 5):
         subsets = [
@@ -283,16 +345,13 @@ def test_valid_mask_matches_a_rank_check(field):
         assert any(kernel.dim for kernel in kernels)
         for kernel in kernels:
             basis = np.asarray(kernel.basis, dtype=np.int64).reshape(kernel.dim, m)
-            vectors = span_vectors(field, basis)
+            inside = set(map(tuple, span_vectors(field, basis).tolist()))
             for r in range(1, m + 1):
                 bases = subspace_bases_array(q, m, r, 0, gaussian_binomial(m, r, q))
-                got = _valid_mask(field, bases, vectors)
                 want = [
-                    rref(field, [tuple(row) for row in b.tolist()] + list(kernel.basis))[1]
-                    == r + kernel.dim
-                    for b in bases
+                    inside.isdisjoint(map(tuple, span_vectors(field, b).tolist())) for b in bases
                 ]
-                assert got.tolist() == want, (m, kernel, r)
+                assert _valid_mask(field, bases, kernel).tolist() == want, (m, kernel, r)
 
 
 def test_the_search_context_resolves_the_cap_once(monkeypatch):
@@ -357,14 +416,14 @@ def test_threaded_search_keeps_a_bounded_window(monkeypatch):
 
 def test_search_memory_is_bounded_by_the_chunk():
     """No candidate array outlives the search: after it, only the chunk
-    cache is still held, and the peak stays near that size (a whole-rank
-    array here would peak above 100 MB)."""
-    spec = normalize(8, [[1, 2, 3], [3, 4, 5]], False)  # k = 5, no early exit
+    cache is still held, and the peak stays near that size (rank 4, all
+    200,787 bases scored, would hold 51 MB of bases alone)."""
+    spec = normalize(8, [[1, 2, 3], [3, 4, 5], [5, 6, 7], [1, 7, 8]], False)  # no kernel
     subspace_bases_array.cache_clear()
-    cache_bytes = subspace_bases_array.cache_info().maxsize * _CHUNK * 5 * 8 * 8
+    cache_bytes = subspace_bases_array.cache_info().maxsize * _CHUNK * 8 * 8 * 8
     tracemalloc.start()
     try:
-        assert hierarchy_prop1(F2, spec).values == (4, 6, 10, 12, 13)
+        assert hierarchy_prop1(F2, spec).values == (4, 8, 11, 15, 17, 21, 23, 24)
         _, peak = tracemalloc.get_traced_memory()
         gc.collect()
         held, _ = tracemalloc.get_traced_memory()
@@ -397,14 +456,33 @@ def _scoring_calls(monkeypatch, record):
             [255, 10795, 4096, 4096, 4096, 4096, 255, 1],
             [255, 10795, 4096, 4096, 4096, 4096, 255, 1],
         ),
+        (
+            F2, 10, [[1, 2, 3, 4], [4, 5, 6, 7, 8]], False,
+            [255, 10795, 4096, 4096, 4096, 4096, 255, 1],
+            [255, 10795, 4096, 4096, 4096, 4096, 255, 1],
+        ),
+        (
+            F2, 8, [[1, 2, 3], [3, 4, 5]], False,
+            [31, 155, 155, 31, 1],
+            [31, 155, 155, 31, 1],
+        ),
+        (
+            F2, 7, [[2, 3, 4, 5, 6, 7], [1, 3, 4, 5, 6, 7], [1, 2, 4, 5, 6, 7]], True,
+            [31, 155, 155, 31, 1],
+            [31, 155, 155, 31, 1],
+        ),
     ],
-    ids=["q3m7-complement", "q2m8"],
+    ids=["q3m7-complement", "q2m8", "q2m10-kernel", "q2m8-kernel", "q2m7-complement-kernel"],
 )
 def test_early_exit_rows_are_pinned(monkeypatch, field, m, sets, complement, generated, scored):
     """Rows generated and rows scored per rank before the early exit; over
     q > 2 only the orbit representatives of each chunk are scored.  A
     complement bound off by one leaves every weight unchanged but scans
-    ranks 3-5 in full."""
+    ranks 3-5 in full.  With a kernel only the G(k, r) bases of F^C are
+    walked, and the bound is q^(k-r): q2m10-kernel is q2m8 on F^10 and
+    stops where q2m8 does, which a bound of q^(m-r) never would.  The
+    kernels of q2m8-kernel (dim 3) and q2m7-complement-kernel (dim 2,
+    three generators [7] - {i}) leave G(5, r) bases per rank."""
     made, kept = Counter(), Counter()
 
     def generating(q, m, r, start, stop, orbits=False):
@@ -424,9 +502,10 @@ def test_threads_are_clamped_to_the_cpus(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     idents = defaultdict(set)
     _scoring_calls(monkeypatch, lambda bases, _: idents[bases.shape[1]].add(threading.get_ident()))
-    h = hierarchy_prop1(F2, normalize(8, [[1, 2, 3], [3, 4, 5]], False), threads=8)
-    assert h.values == (4, 6, 10, 12, 13)
-    assert sorted(idents) == [1, 2, 3, 4, 5]
+    # no kernel, and ranks 2 and 3 score 3 and 24 chunks
+    h = hierarchy_prop1(F2, normalize(8, [[1, 2, 3], [3, 4, 5], [5, 6, 7, 8]], False), threads=8)
+    assert h.values == (4, 6, 10, 12, 20, 24, 26, 27)
+    assert sorted(idents) == [1, 2, 3, 4, 5, 6, 7, 8]
     assert all(len(seen) <= 2 for seen in idents.values()), idents
 
 
@@ -515,9 +594,10 @@ def _column_normalized(field, basis):
 def test_orbit_representatives_cover_every_basis(field):
     """Every canonical basis B at m <= 4, every rank: the generator keeps B
     exactly when B is its own column-normalized form; that form is itself
-    a canonical basis no later than B, every such form is generated, and
-    it scores and masks as B does on a union spec (with a kernel from
-    m = 3) and a complement spec.  Each pivot set keeps
+    a canonical basis no later than B, every such form is generated, it
+    meets K exactly when B does, and where B lies inside F^C it scores as
+    B does, on a union spec (with a kernel from m = 3) and a complement
+    spec.  Each pivot set keeps
     prod_j (1 + (q^c_j - 1) / (q - 1)) rows, c_j the free cells of column j."""
     q = field.q
     for m in range(1, 5):
@@ -539,14 +619,15 @@ def test_orbit_representatives_cover_every_basis(field):
                 tuple(map(tuple, b)) for b in generated.tolist()
             }
             reps = np.asarray(reps, dtype=np.int64).reshape(bases.shape)
-            for ctx in contexts:  # the side and kernel the search uses
+            for ctx in contexts:  # the side, columns and kernel the search uses
+                # the bases the search builds: inside F^C, read at C's columns
+                within = ~np.delete(bases, ctx.columns, axis=2).any(axis=(1, 2))
                 assert np.array_equal(
-                    _orthogonal_counts(field, reps, ctx.small),
-                    _orthogonal_counts(field, bases, ctx.small),
+                    _orthogonal_counts(field, reps[within][:, :, ctx.columns], ctx.small),
+                    _orthogonal_counts(field, bases[within][:, :, ctx.columns], ctx.small),
                 )
                 assert np.array_equal(
-                    _valid_mask(field, reps, ctx.kernel_vectors),
-                    _valid_mask(field, bases, ctx.kernel_vectors),
+                    _valid_mask(field, reps, ctx.kernel), _valid_mask(field, bases, ctx.kernel)
                 )
             firsts, blocks, starts = _bases_layout(q, m, r)
             for first, stop, (_, free), kept in zip(
@@ -561,8 +642,10 @@ def test_orbit_representatives_cover_every_basis(field):
 @pytest.mark.parametrize("field", _ORBIT_FIELDS[:3], ids=lambda f: f"q{f.q}")
 def test_witnesses_match_a_canonical_first_scan(field):
     """Values and witnesses of the search equal those of a scan over every
-    canonical basis, first optimum kept, scored with scalar Field dot
-    products, on every small antichain at m <= 4 with both flags."""
+    canonical basis that meets K only in zero and has no entry at the
+    leading coordinate of a vector of K (a basis of F^C), first optimum
+    kept, scored with scalar Field dot products, on every small antichain
+    at m <= 4 with both flags; K is found by brute force."""
     q = field.q
     add = [[field.add(a, b) for b in range(q)] for a in range(q)]
     mul = [[field.mul(a, b) for b in range(q)] for a in range(q)]
@@ -600,12 +683,13 @@ def test_witnesses_match_a_canonical_first_scan(field):
                 if not defining:
                     continue
                 kernel = {v for v in vectors if all(dot(v, d) == 0 for d in defining)}
+                leads = {next(i for i, x in enumerate(v) if x) for v in kernel - {zero}}
                 h = hierarchy_prop1(field, normalize(m, [list(s) for s in family], complement))
                 assert q**h.k * len(kernel) == q**m
                 for r in range(1, h.k + 1):
                     best = witness = None
                     for basis, perp, span in scans[r]:
-                        if span & kernel:
+                        if span & kernel or any(row[i] for row in basis for i in leads):
                             continue
                         value = len(perp & defining)
                         if best is None or value > best:
@@ -696,8 +780,9 @@ def test_character_sums_match_member_and_scalar_counts(field, top):
 def test_character_sum_picks_are_pinned(field, m, sets, complement, picks):
     """The ranks scored by the character sum, for the benchmark's specs and
     for a union scanned through its complement (both flags; the
-    complement spec has a kernel).  Given the support table, scoring
-    gives the member product's counts on the first rows of every rank."""
+    complement spec and brute-q2m8 have a kernel).  Given the support
+    table, scoring gives the member product's counts on the first rows of
+    every rank, bases of F^C read at C's coordinates."""
     ctx = _search_context(field, normalize(m, sets, complement))
     side = len(ctx.small)
     assert [r for r in range(1, ctx.k + 1) if _uses_character_sum(field, m, r, side, ctx.terms)] == picks
@@ -705,9 +790,10 @@ def test_character_sum_picks_are_pinned(field, m, sets, complement, picks):
     assert outside == (field.q == 2 and m == 6)
     table = _support_table(field.q, m, ctx.terms)
     for r in range(1, ctx.k + 1):
-        bases = subspace_bases_array(field.q, m, r, 0, min(512, gaussian_binomial(m, r, field.q)))
+        top = min(512, gaussian_binomial(ctx.k, r, field.q))
+        bases = subspace_bases_array(field.q, ctx.k, r, 0, top)
         assert np.array_equal(
-            _orthogonal_counts(field, bases, ctx.small, table, outside),
+            _orthogonal_counts(field, bases, ctx.small, table, outside, ctx.columns),
             _orthogonal_counts(field, bases, ctx.small),
         ), r
 
