@@ -255,15 +255,15 @@ def cmd_count(args) -> int:
             raise CLIError(str(exc)) from exc
         terms = union_terms(union_spec.sets)
         inside = union_size(terms, q)
-        small = min(inside, q**m - inside)
         k = len(set().union(*union_spec.sets))
+        small = min(inside, q**k - inside)
     ranks = [args.r] if args.r is not None else list(range(1, m + 1))
     rows = []
     for r in ranks:
         count = gaussian_binomial(m, r, q)
         ops = None
         if small is not None and r <= k:  # per basis scored, the search's pick
-            width = q**r if _uses_character_sum(field, m, r, small, terms) else small
+            width = q**r if _uses_character_sum(field, k, r, small, terms) else small
             ops = representative_count(q, k, r) * width * k
         rows.append((r, count, gaussian_binomial(k, r, q), ops))
     total = sum(c for _, c, _, _ in rows)
@@ -276,7 +276,8 @@ def cmd_count(args) -> int:
             payload["rows"].append(entry)
         print(json.dumps(payload))
     else:
-        print(f"subspaces of F_{q}^{m}" + (f" (defining side size {small})" if small else ""))
+        side = "" if small is None else f" (defining side size {small})"
+        print(f"subspaces of F_{q}^{m}" + side)
         for r, count, _, ops in rows:
             line = f"  r={r:<2} count={count}"
             if ops is not None:

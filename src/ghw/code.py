@@ -11,32 +11,37 @@ r-dimensional subspaces of F^m / K (Wei, 1991).  D lies in K-perp, and
 for d in K-perp, d is orthogonal to H exactly when it is orthogonal to
 H + K, so |D meet H-perp| depends only on H + K.  Let C hold the columns
 off the pivots of K's RREF basis: every nonzero vector of K is nonzero at
-some pivot, so the coordinate subspace F^C meets K only in zero, and
-|C| = k.  Each subspace of F^m / K then has exactly one lift H inside
-F^C, and
+some pivot, so F^m is K plus the coordinate subspace F^C, and |C| = k.
+Each subspace of F^m / K then has exactly one lift H inside F^C, and
 
     d_r = n - max |D meet H-perp|  over the r-dim H inside F^C.
 
-For a spec without the complement flag C is the union of the generators;
-with it K is zero except at q = 2, where C is [m] minus all but the last
-of the coordinates i whose [m] - {i} is a generator (``k_space``).  The
-search walks the G(k, r) canonical bases of F^C, never builds a
-candidate that meets K, and reads every vector at C's columns only: for
-H inside F^C, whether v lies in H-perp depends only on v restricted to
-C.  Since |D meet H-perp| is at most |(H + K)-perp| = q^(k-r), the scan
-of a rank stops at the first chunk reaching that bound (less one for a
-complement, which never holds the zero vector).  The witness of a rank
-is the first optimal H inside F^C in canonical order, embedded at C's
-columns; canonical order on F^C is a subsequence of canonical order on
-F^m.  Before it is returned, ``_valid_mask`` checks by a rank count that
-it meets K only in zero.
+The search context restates this once as a problem with a zero kernel
+(``simplicial.restrict``).  Reading at C is one to one on K-perp, which
+holds D, and for H inside F^C, v is orthogonal to H exactly when v
+restricted to C is.  So D read at C, a defining set in F^k, has the same
+n and the same d_r, and its own kernel is zero.  It is again a union of
+coordinate subspaces or the complement of one: without the complement
+flag C is the union of the generators, relabeled; with it K is zero
+except at q = 2 (see ``restrict``).  From there on the search knows only
+F^k.  It walks the G(k, r) canonical bases of F^k, and since
+|D meet H-perp| is at most |H-perp| = q^(k-r), the scan of a rank stops
+at the first chunk reaching that bound (less one for a complement, which
+never holds the zero vector).  C is listed in ascending order, so
+canonical order on F^k is canonical order on F^C, a subsequence of
+canonical order on F^m: the witness of a rank, the first optimal H in
+canonical order, is embedded at C's columns.  Before it is returned,
+``_valid_mask`` checks by a rank count that it meets K only in zero.
 
 D is the union U of coordinate subspaces, or its complement under the
 complement flag.  The search counts whichever of D and its complement in
-F^m is smaller; since |H-perp| = q^(m-r), either count gives
+F^k is smaller; since |H-perp| = q^(k-r), either count gives
 |D meet H-perp|.  It never constructs H-perp itself, and it scores a
-chunk of candidate bases by one of two methods, picked per rank, that
-give the same count for every basis (``_orthogonal_counts``).
+chunk of candidate bases by one of two methods, picked per rank
+(``_orthogonal_counts``).  The member product counts the scanned side,
+the character sum counts U, and ``_search`` turns either count into
+|D meet H-perp| once, as q^(k-r) minus it when what was counted lies
+outside D.
 
 The member product counts the scanned side directly: v lies in H-perp
 exactly when B v = 0 for the basis matrix B of H, so the chunk is scored
@@ -55,22 +60,18 @@ with c_T the merged coefficients of ``simplicial.union_terms``
     U-hat(S) = sum_T c_T q^|T| [T and S are disjoint].
 
 Every U-hat value is an integer, so this is an identity of integers over
-every GF(q), and a complement side counts q^(m-r) minus it.
-``_character_sums`` takes the q^r vectors of every H in one
+every GF(q).  ``_character_sums`` takes the q^r vectors of every H in one
 ``field.matmul`` of all coefficient vectors against the chunk, packs
-their supports into bitmasks and adds up their entries in a 2^m table of
-U-hat.  A basis column at coordinate j of F^m weighs 2^j in the packing,
-so the table is the same whatever C is.
+their supports into bitmasks (column j weighs 2^j, as coordinate j + 1
+does in the terms) and adds up their entries in a 2^k table of U-hat.
 
 Per basis the member product has min(e, 2) r |side| entries and the
-character sum q^r m e, so the character sum wins at low ranks and
+character sum q^r k e, so the character sum wins at low ranks and
 against large sides.  ``_uses_character_sum`` takes it when its product
-is the smaller, the table's 2^m x 8 bytes fit ``linalg._CHUNK_BYTES``,
+is the smaller, the table's 2^k x 8 bytes fit ``linalg._CHUNK_BYTES``,
 and q^r sum_T |c_T| q^|T|, which bounds every partial sum, is below
-2^63, so int64 holds the sum exactly.  It reads only the field, m, r,
-the side's size and the terms, so no option or run changes the pick;
-it prices the character sum at the ambient m, never below the k columns
-a chunk spans.
+2^63, so int64 holds the sum exactly.  It reads only the field, k, r,
+the side's size and the terms, so no option or run changes the pick.
 ``_search`` makes the pick once per rank and builds the table onto the
 search context before any thread starts, so threads only read it and
 need no lock, and the table goes with the context.
@@ -89,10 +90,10 @@ reaches the bound.  With threads (never more than the CPUs), at most
 gives the serial result and witness.
 
 Over q > 2 only one basis per column orbit of each chunk is built and
-scored.  D is a union of coordinate subspaces or its complement, and
-F^C is a coordinate subspace, so both are fixed by every coordinate
-scaling L in (F_q^*)^m; since (HL)-perp = L^-1 H-perp, the map H -> HL
-keeps H inside F^C and leaves |D meet H-perp| unchanged.  The
+scored.  D read at C is a union of coordinate subspaces of F^k or its
+complement, so it is fixed by every coordinate scaling L in (F_q^*)^k;
+since (HL)-perp = L^-1 H-perp, the map H -> HL leaves |D meet H-perp|
+unchanged.  The
 representative kept is the canonical RREF basis whose every column has
 element code 1 as its first nonzero entry:
 
@@ -116,10 +117,14 @@ plain ranges there, which the oracle's calls (``orbits=False``) share in
 
 A request builds one search context (``_search_context``) for all its
 ranks.  It resolves the cap once, refuses an empty D by
-``ComplexSpec.empty`` before any sizing, and walks the generators'
-``union_terms`` once: |U|, n, both side sizes and the U-hat table are
-read off those terms.  It decodes the scanned side at C's columns only,
-and enumerates no vector of K.
+``ComplexSpec.empty`` before any sizing, reads D at C once and walks the
+generators' ``union_terms`` of that spec once: |U|, n, the scanned
+side's spec and size and the U-hat table are read off those terms.  It
+lists no vector.  ``hierarchy_prop1`` checks every rank's G(k, r)
+against the cap, and each rank its own count and the side's F_p entries,
+before the first rank lists the side once (``member_codes``), so an
+oversized request is refused before anything of the side's size is
+allocated.  No vector of K is ever enumerated.
 """
 
 from __future__ import annotations
@@ -145,7 +150,7 @@ from .linalg import (
     subspace_count,
     subspace_from_rref,
 )
-from .simplicial import ComplexSpec, k_space, member_codes, union_size, union_terms
+from .simplicial import ComplexSpec, k_space, member_codes, restrict, union_size, union_terms
 
 @dataclass(eq=False)
 class LinearCode:
@@ -215,50 +220,37 @@ class WeightHierarchy:
 @dataclass(eq=False)
 class _SearchContext:
     field: Field
-    spec: ComplexSpec
+    spec: ComplexSpec  # the request's spec, on F^m
     n: int
     k: int
-    columns: np.ndarray  # C, the k coordinates of F^m the search spans
-    small: np.ndarray  # (Ns, k) matrix of the scanned side at C's columns
-    small_outside: bool  # it is the complement of D, not D
+    columns: tuple  # C, the k coordinates of F^m the search spans
+    side: ComplexSpec  # the smaller of U and its complement in F^k
+    side_size: int  # its number of vectors
     kernel: Subspace  # K, which every witness must meet only in zero
-    terms: dict  # union_terms of the generators
+    terms: dict  # union_terms of U, the union of D read at C
     max_enum: int  # the resolved cap
+    small: np.ndarray | None = None  # (side_size, k) matrix, once a rank runs
     table: np.ndarray | None = None  # _support_table, once a rank needs it
 
 
-def _orthogonal_counts(
-    field: Field,
-    bases: np.ndarray,
-    vectors: np.ndarray,
-    table=None,
-    outside=False,
-    columns=None,
-):
+def _orthogonal_counts(field: Field, bases: np.ndarray, vectors: np.ndarray, table=None):
     """For each candidate basis B in the stack, count the rows v of
-    ``vectors`` with Bv = 0.
-
-    Without ``table`` the member product counts them.  With it, ``vectors``
-    must be the union U of coordinate subspaces of F^m, or with ``outside``
-    its complement, read at the coordinates ``columns`` of the bases'
-    columns (all of them when not given), and ``table`` U's
-    ``_support_table``; the character sum then gives the same counts."""
-    r = bases.shape[1]
+    ``vectors`` with Bv = 0 by the member product; or, given the
+    ``_support_table`` of a union U of coordinate subspaces of F^k, count
+    |U meet H-perp| by the character sum, ``vectors`` unread."""
     if table is not None:
-        inside = _character_sums(field, bases, table, columns)
-        m = len(table).bit_length() - 1  # the table has 2^m entries
-        return field.q ** (m - r) - inside if outside else inside
+        return _character_sums(field, bases, table)
     return len(vectors) - np.any(matmul(field, bases, vectors.T), axis=1).sum(axis=1)
 
 
-def _uses_character_sum(field: Field, m: int, r: int, side: int, terms) -> bool:
-    """Does scoring rank r against a side of ``side`` vectors take the
-    character sum over H?  Only when its product, q^r m e entries per
+def _uses_character_sum(field: Field, k: int, r: int, side: int, terms) -> bool:
+    """Does scoring rank r of F^k against a side of ``side`` vectors take
+    the character sum over H?  Only when its product, q^r k e entries per
     basis, is smaller than the member product's min(e, 2) r |side|, its
-    2^m table fits ``_CHUNK_BYTES``, and q^r sum |c_S| q^|S| over the
+    2^k table fits ``_CHUNK_BYTES``, and q^r sum |c_S| q^|S| over the
     ``terms`` bounds every partial sum below 2^63, so int64 holds it."""
     q, e = field.q, field.e
-    if q**r * m * e >= min(e, 2) * r * side or 8 * 2**m > _CHUNK_BYTES:
+    if q**r * k * e >= min(e, 2) * r * side or 8 * 2**k > _CHUNK_BYTES:
         return False
     return q**r * sum(abs(c) * q ** key.bit_count() for key, c in terms.items()) < 2**63
 
@@ -279,25 +271,22 @@ def _support_table(q: int, m: int, terms) -> np.ndarray:
     return table
 
 
-def _character_sums(field: Field, bases: np.ndarray, table: np.ndarray, columns=None):
+def _character_sums(field: Field, bases: np.ndarray, table: np.ndarray):
     """|U meet H-perp| for each H spanned by a basis of the stack, as
     q^-r sum over h in H of U-hat(supp h): every coefficient vector times
     every basis in one product, the supports of the q^r results per basis
-    packed into bitmasks of the narrowest unsigned type, each looked up in
-    the table.  Basis column j sits at coordinate ``columns[j]`` of F^m
-    (at j when not given) and weighs 2^columns[j].  A stack of tables
-    (..., 2^m) gives a stack of counts."""
+    packed into bitmasks of the narrowest unsigned type (column j weighs
+    2^j), each looked up in the table.  A stack of tables (..., 2^k) gives
+    a stack of counts."""
     c, r, k = bases.shape
     q = field.q
     rows = bases.transpose(1, 2, 0).reshape(r, k * c)  # coordinate major
     span = matmul(field, codes_to_matrix(range(q**r), q, r), rows)
     word = np.min_scalar_type(table.shape[-1] - 1)
-    if columns is None:
-        columns = np.arange(k)
     supports = np.einsum(
         "hjc,j->hc",
         (span.reshape(q**r, k, c) != 0).view(np.uint8),
-        2 ** columns.astype(word),
+        2 ** np.arange(k, dtype=word),
         dtype=word,
     )
     return table[..., supports].sum(axis=-2) // q**r
@@ -319,29 +308,29 @@ def _valid_mask(field: Field, bases: np.ndarray, kernel: Subspace) -> np.ndarray
 
 
 def _search_context(field: Field, spec: ComplexSpec, max_enum=None) -> _SearchContext:
-    """Everything the ranks of one request share, with the cap resolved once
-    and the generators' ``union_terms`` walked once: |U|, n and both side
-    sizes are read off those terms."""
+    """Everything the ranks of one request share, with the cap resolved
+    once, D read at C once (``restrict``) and its generators'
+    ``union_terms`` walked once: |U|, n and the scanned side's spec and
+    size are read off those terms.  No vector is listed here."""
     max_enum = resolve_max_enum(max_enum)
     if spec.empty:
         raise ValueError(f"defining set {spec.describe()} is empty")
-    q, m = field.q, spec.m
-    terms = union_terms(spec.sets, max_enum)
-    union = union_size(terms, q)
+    q = field.q
     kernel = k_space(spec, field)
-    # off the pivots of K's RREF basis: F^C meets K only in zero
-    columns = np.array([j for j in range(m) if j not in kernel.pivots], dtype=np.int64)
-    # scan the smaller of U and its complement
-    small_spec = ComplexSpec(m=m, sets=spec.sets, complement=2 * union > q**m)
-    small = codes_to_matrix(member_codes(small_spec, q, max_enum), q, m, columns)
+    columns, local = restrict(spec, kernel)
+    k = len(columns)
+    terms = union_terms(local.sets, max_enum)
+    union = union_size(terms, q)
+    # scan the smaller of U and its complement in F^k
+    side = ComplexSpec(m=k, sets=local.sets, complement=2 * union > q**k)
     return _SearchContext(
         field=field,
         spec=spec,
-        n=q**m - union if spec.complement else union,
-        k=len(columns),
+        n=q**k - union if spec.complement else union,
+        k=k,
         columns=columns,
-        small=small,
-        small_outside=small_spec.complement != spec.complement,
+        side=side,
+        side_size=min(union, q**k - union),
         kernel=kernel,
         terms=terms,
         max_enum=max_enum,
@@ -354,25 +343,27 @@ def _search(ctx: _SearchContext, r: int, threads: int = 1):
     if not 1 <= r <= ctx.k:
         raise ValueError(f"r must lie in 1..{ctx.k}, got {r}")
     field, spec = ctx.field, ctx.spec
-    q, m, k = field.q, spec.m, ctx.k
+    q, k = field.q, ctx.k
     total = subspace_count(q, k, r, ctx.max_enum)
     # each chunk's product expands the scanned side to |side| k e^2 F_p entries
     check_cap(
-        ctx.small.size * field.e**2, ctx.max_enum, what="F_p entries of the scanned side"
+        ctx.side_size * k * field.e**2, ctx.max_enum, what="F_p entries of the scanned side"
     )
-    per_h = q ** (m - r)
-    # the scanned side is F^m minus the union exactly when it is outside D
-    # and D is the union, or inside D and D is the complement
-    side_outside = ctx.small_outside != spec.complement
-    # D lies in K-perp, so D meet H-perp lies in (H + K)-perp, of dimension
-    # k - r; the zero vector lies in every H-perp and never in a complement
-    bound = q ** (k - r) - spec.complement
+    # built once every cap has passed and before any thread starts: no lock
+    if ctx.small is None:
+        ctx.small = codes_to_matrix(member_codes(ctx.side, q, ctx.max_enum), q, k)
+    per_h = q ** (k - r)
+    # the zero vector lies in every H-perp and never in a complement
+    bound = per_h - spec.complement
     # per row: scoring's product and digit
-    step = chunk_rows(8 * min(field.e, 2) * r * len(ctx.small))
-    character_sum = _uses_character_sum(field, m, r, len(ctx.small), ctx.terms)
-    if character_sum and ctx.table is None:  # before any thread starts: no lock
-        ctx.table = _support_table(q, m, ctx.terms)
+    step = chunk_rows(8 * min(field.e, 2) * r * ctx.side_size)
+    character_sum = _uses_character_sum(field, k, r, ctx.side_size, ctx.terms)
+    if character_sum and ctx.table is None:
+        ctx.table = _support_table(q, k, ctx.terms)
     table = ctx.table if character_sum else None
+    # the member product counts the side and the character sum counts U;
+    # what is counted lies outside D when its complement flag is not D's
+    outside = spec.complement != (ctx.side.complement and not character_sum)
 
     def score(start):
         """(best |D meet H-perp|, a copy of the first basis attaining it)
@@ -383,8 +374,8 @@ def _search(ctx: _SearchContext, r: int, threads: int = 1):
         )
         if not len(chunk):
             return None
-        counts = _orthogonal_counts(field, chunk, ctx.small, table, side_outside, ctx.columns)
-        inside = per_h - counts if ctx.small_outside else counts
+        counts = _orthogonal_counts(field, chunk, ctx.small, table)
+        inside = per_h - counts if outside else counts
         pos = int(np.argmax(inside))
         return int(inside[pos]), chunk[pos].copy()
 
@@ -417,7 +408,7 @@ def _search(ctx: _SearchContext, r: int, threads: int = 1):
                 s = next(starts, None)
                 if s is not None:
                     window.append(pool.submit(score, s))
-    embedded = np.zeros((r, m), dtype=np.int64)
+    embedded = np.zeros((r, spec.m), dtype=np.int64)
     embedded[:, ctx.columns] = witness
     if not _valid_mask(field, embedded[None], ctx.kernel).all():
         raise RuntimeError(f"the rank-{r} witness meets the kernel of {spec.describe()}")
@@ -430,7 +421,8 @@ def ghw_prop1(field: Field, spec: ComplexSpec, r: int, threads: int = 1, max_enu
     Returns (value, witness) where the witness is the first subspace in
     canonical order attaining the optimum among the r-dim subspaces of
     F^C, C the coordinates off the pivots of the kernel's RREF basis (all
-    of F^m when the kernel is zero).
+    of F^m when the kernel is zero): the search runs on D read at C, in
+    F^k with k = |C|, and embeds its optimum at C's columns.
     """
     return _search(_search_context(field, spec, max_enum), r, threads)
 

@@ -82,13 +82,10 @@ class Subspace:
         return iter(self.basis)
 
 
-def codes_to_matrix(codes, q: int, m: int, columns=None):
-    """Decode integer codes of F_q^m into an (N, m) int64 matrix of element
-    codes, or into an (N, len(columns)) one holding only those columns."""
+def codes_to_matrix(codes, q: int, m: int):
+    """Decode integer codes into an (N, m) int64 matrix of element codes."""
     arr = np.asarray(codes, dtype=np.int64).reshape(-1, 1)
-    if columns is None:
-        columns = np.arange(m, dtype=np.int64)
-    weights = q ** (m - 1 - columns)
+    weights = q ** np.arange(m - 1, -1, -1, dtype=np.int64)
     return (arr // weights) % q
 
 

@@ -222,3 +222,30 @@ def k_space(spec: ComplexSpec, field: Field) -> Subspace:
         inner = [i for i in range(1, m + 1) if full - {i} in gens]
         rows = [unit(inner[0], i) for i in inner[1:]]
     return subspace_from_vectors(field, rows, m)
+
+
+def restrict(spec: ComplexSpec, kernel: Subspace):
+    """(C, D read at C): C the ascending 0-based coordinates off the pivots
+    of ``kernel`` (``k_space(spec)``), and the spec on |C| coordinates
+    whose defining set is {v restricted to C : v in D}, with a zero kernel.
+
+    F^m is K plus F^C, and D lies in K-perp, so reading at C is one to one
+    on D.  A zero K keeps C = [m] and the spec itself.  Without the
+    complement flag C is the union of the generators, which are
+    relabeled onto 1..|C| in order.  With it K is nonzero only at q = 2,
+    where I (the i whose [m] - {i} is a generator) is the support of K's
+    basis and C keeps only the last member t of I.  Every generator either
+    is some [m] - {i} or contains I, and every v in D is 1 on I, so D at C
+    is the complement of the union of F^(C - {t}) and of F^(S meet C) for
+    each generator S containing I; C - {t} is empty when C = {t}, so this
+    is built by ``normalize_sets``, which ``normalize`` would refuse."""
+    columns = tuple(j for j in range(spec.m) if j not in kernel.pivots)
+    if not kernel.dim:
+        return columns, spec
+    label = {j + 1: i for i, j in enumerate(columns, start=1)}
+    sets = spec.sets
+    if spec.complement:
+        inner = {j + 1 for row in kernel.basis for j, x in enumerate(row) if x}
+        sets = [[j for j in label if j not in inner]] + [s for s in sets if inner <= set(s)]
+    kept, _ = normalize_sets([[label[j] for j in s if j in label] for s in sets])
+    return columns, ComplexSpec(m=len(columns), sets=kept, complement=spec.complement)

@@ -6,6 +6,7 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from time import perf_counter
 
@@ -270,8 +271,9 @@ def test_a_large_kernel_is_never_enumerated(capsys, monkeypatch):
 
 def test_count_subspaces_json(capsys):
     """`count` is G(m, r); `search_ops` prices the search, which spans
-    F^k for k = |union| = 2 here: G(2, 2) = 1 basis times the 4 vectors
-    of the side times k, and no ops above rank k."""
+    F^k for k = |union| = 2 here: G(2, 2) = 1 basis times the side times
+    k, and no ops above rank k.  The union is all of F^2, so the side, its
+    complement in F^2, is empty, and the text header says so."""
     ret = cli.main(["count-subspaces", "--q", "2", "--m", "4", "--format", "json"])
     assert ret == 0
     payload = json.loads(capsys.readouterr().out)
@@ -280,11 +282,13 @@ def test_count_subspaces_json(capsys):
     argv = ["count-subspaces", "--q", "2", "--m", "4", "--sets", "1,2", "--format", "json"]
     assert cli.main(argv + ["--r", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["rows"] == [{"r": 2, "count": 35, "search_ops": 1 * 4 * 2}]
+    assert payload["rows"] == [{"r": 2, "count": 35, "search_ops": 1 * 0 * 2}]
     assert payload["total"] == 35
     assert cli.main(argv) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert [sorted(row) for row in rows] == [["count", "r", "search_ops"]] * 2 + [["count", "r"]] * 2
+    assert cli.main(argv[:-2]) == 0
+    assert capsys.readouterr().out.startswith("subspaces of F_2^4 (defining side size 0)\n")
 
 
 def test_count_subspaces_estimates_the_method_the_search_picks(capsys):
@@ -447,11 +451,54 @@ def test_enumeration_cap_exits_three(capsys):
 
 
 def test_member_code_overflow_exits_three(capsys):
-    """Member codes of F_3^40 pass 64 bits: a size limit, like the cap."""
-    ret = cli.main(["params", "--q", "3", "--m", "40", "--sets", "1,2"])
-    assert ret == 3
+    """Member codes of F_3^40 pass 64 bits: a size limit, like the cap.  A
+    complement over q = 3 has no kernel, so its union side is listed in
+    F^40, once a cap above G(40, 1) = 6.1e18 lets the search start."""
+    argv = ["params", "--q", "3", "--m", "40", "--sets", "1,2;2,3;3,4", "--complement"]
+    assert cli.main(argv + ["--max-enum", str(10**19)]) == 3
     err = capsys.readouterr().err
     assert err == "error: member code 10806813741383936712 does not fit in 64 bits\n"
+
+
+_FIRST_21 = ",".join(map(str, range(1, 22)))
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["--q", "3", "--m", "40", "--sets", "1,2"], "[9, 2, 6] code over GF(3), <1,2> in F^40"),
+        (
+            ["--q", "2", "--m", "22", "--sets", _FIRST_21],
+            f"[2097152, 21, 1048576] code over GF(2), <{_FIRST_21}> in F^22",
+        ),
+    ],
+    ids=["q3m40", "q2m22"],
+)
+def test_a_kernel_spec_is_searched_on_its_union(capsys, monkeypatch, argv, line):
+    """The search reads D at C, the union of the generators, so its member
+    codes and its side are those of F^k: `1,2` in F_3^40 (codes past 64
+    bits in F^40) and [21] in F_2^22 (2^21 members, whose complement in
+    F^21 is the empty side) are answered."""
+    monkeypatch.delenv("GHW_MAX_ENUM", raising=False)
+    assert cli.main(["params"] + argv) == 0
+    assert capsys.readouterr().out.startswith(line + "\nmethod: prop1-search ")
+
+
+def test_caps_refuse_before_the_side_is_listed(capsys):
+    """Every cap is checked before the scanned side is listed: q=2 m=20
+    `1,...,18;19,20` has 2^18 + 3 members, and G(20, 1) = 1,048,575 lines
+    are over the cap, so the request is refused having traced well under
+    the side's 2^18 x 20 x 8 bytes."""
+    sets = ",".join(map(str, range(1, 19))) + ";19,20"
+    argv = ["hierarchy", "--method", "brute", "--q", "2", "--m", "20", "--sets", sets]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv + ["--max-enum", "1000000"]) == 3
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "refusing to enumerate 1048575 1-dim subspaces" in capsys.readouterr().err
+    assert peak < 8 * 2**20, peak
 
 
 def test_inclusion_exclusion_terms_are_capped(capsys):

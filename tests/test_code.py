@@ -40,7 +40,7 @@ from ghw.linalg import (
     subspace_from_vectors,
 )
 from ghw.oracle import ghw_definitional, hierarchy_definitional
-from ghw.simplicial import cardinality, k_space, normalize, union_terms
+from ghw.simplicial import cardinality, k_space, member_codes, normalize, union_terms
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -605,6 +605,7 @@ def test_orbit_representatives_cover_every_basis(field):
         if m > 1:
             specs.append(normalize(m, [[1], [m]], True))
         contexts = [_search_context(field, spec) for spec in specs]
+        sides = [codes_to_matrix(member_codes(c.side, q), q, c.k) for c in contexts]
         for r in range(1, m + 1):
             total = gaussian_binomial(m, r, q)
             bases = subspace_bases_array(q, m, r, 0, total)
@@ -619,12 +620,12 @@ def test_orbit_representatives_cover_every_basis(field):
                 tuple(map(tuple, b)) for b in generated.tolist()
             }
             reps = np.asarray(reps, dtype=np.int64).reshape(bases.shape)
-            for ctx in contexts:  # the side, columns and kernel the search uses
+            for ctx, side in zip(contexts, sides):  # what the search uses
                 # the bases the search builds: inside F^C, read at C's columns
                 within = ~np.delete(bases, ctx.columns, axis=2).any(axis=(1, 2))
                 assert np.array_equal(
-                    _orthogonal_counts(field, reps[within][:, :, ctx.columns], ctx.small),
-                    _orthogonal_counts(field, bases[within][:, :, ctx.columns], ctx.small),
+                    _orthogonal_counts(field, reps[within][:, :, ctx.columns], side),
+                    _orthogonal_counts(field, bases[within][:, :, ctx.columns], side),
                 )
                 assert np.array_equal(
                     _valid_mask(field, reps, ctx.kernel), _valid_mask(field, bases, ctx.kernel)
@@ -771,31 +772,33 @@ def test_character_sums_match_member_and_scalar_counts(field, top):
         (F2, 9, [[1, 2, 3, 4, 5], [5, 6, 7, 8, 9]], False, [1, 2, 3, 4, 5]),
         (F3, 7, [[1, 2, 3], [3, 4, 5], [5, 6, 7]], False, [1, 2, 3]),
         (F4, 6, [[1, 2, 3], [4, 5, 6]], False, [1, 2]),
-        (F2, 8, [[1, 2, 3], [3, 4, 5]], False, []),
+        (F2, 8, [[1, 2, 3], [3, 4, 5]], False, [1, 2, 3]),
         (F2, 6, [[1, 2, 3, 4, 5], [2, 3, 4, 5, 6]], False, [1, 2]),
-        (F2, 6, [[1, 2, 3, 4, 5], [2, 3, 4, 5, 6]], True, [1, 2]),
+        (F2, 6, [[1, 2, 3, 4, 5], [2, 3, 4, 5, 6]], True, [1, 2, 3]),
     ],
     ids=["both-q2m9", "both-q3m7", "both-gf4m6", "brute-q2m8", "q2m6-outside", "q2m6-compl"],
 )
 def test_character_sum_picks_are_pinned(field, m, sets, complement, picks):
     """The ranks scored by the character sum, for the benchmark's specs and
     for a union scanned through its complement (both flags; the
-    complement spec and brute-q2m8 have a kernel).  Given the support
-    table, scoring gives the member product's counts on the first rows of
-    every rank, bases of F^C read at C's coordinates."""
+    complement spec and brute-q2m8 have a kernel, so their picks are
+    priced on F^5).  Given the support table, the character sum gives
+    |U meet H-perp| on the first rows of every rank of F^k: the member
+    count of a union side, or |H-perp| minus that of a complement side."""
     ctx = _search_context(field, normalize(m, sets, complement))
-    side = len(ctx.small)
-    assert [r for r in range(1, ctx.k + 1) if _uses_character_sum(field, m, r, side, ctx.terms)] == picks
-    outside = ctx.small_outside != ctx.spec.complement
-    assert outside == (field.q == 2 and m == 6)
-    table = _support_table(field.q, m, ctx.terms)
-    for r in range(1, ctx.k + 1):
-        top = min(512, gaussian_binomial(ctx.k, r, field.q))
-        bases = subspace_bases_array(field.q, ctx.k, r, 0, top)
-        assert np.array_equal(
-            _orthogonal_counts(field, bases, ctx.small, table, outside, ctx.columns),
-            _orthogonal_counts(field, bases, ctx.small),
-        ), r
+    q, k = field.q, ctx.k
+    side = codes_to_matrix(member_codes(ctx.side, q), q, k)
+    assert len(side) == ctx.side_size
+    assert [r for r in range(1, k + 1) if _uses_character_sum(field, k, r, len(side), ctx.terms)] == picks
+    assert ctx.side.complement == (q == 2 and m == 6 and not complement)
+    table = _support_table(q, k, ctx.terms)
+    for r in range(1, k + 1):
+        top = min(512, gaussian_binomial(k, r, q))
+        bases = subspace_bases_array(q, k, r, 0, top)
+        member = _orthogonal_counts(field, bases, side)
+        if ctx.side.complement:
+            member = q ** (k - r) - member
+        assert np.array_equal(_orthogonal_counts(field, bases, side, table), member), r
 
 
 def test_character_sum_refuses_what_int64_cannot_hold():
