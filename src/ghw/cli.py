@@ -20,7 +20,7 @@ from .field import Field, field_new
 from .formulas import NotApplicable, hierarchy_formula
 from .linalg import gaussian_binomial, representative_count
 from .reference import run_reference_checks
-from .simplicial import normalize, normalize_sets, parse_sets, union_size, union_terms
+from .simplicial import normalize, normalize_sets, parse_sets
 
 
 class CLIError(Exception):
@@ -195,27 +195,6 @@ def cmd_hierarchy(args) -> int:
     return 0
 
 
-def _jsonable(row: dict) -> dict:
-    out = {}
-    for key in (
-        "id",
-        "ok",
-        "q",
-        "m",
-        "expected",
-        "formula",
-        "prop1",
-        "definitional",
-        "elapsed_ms",
-        "detail",
-    ):
-        val = row.get(key)
-        if isinstance(val, tuple):
-            val = list(val)
-        out[key] = val
-    return out
-
-
 def cmd_verify_paper(args) -> int:
     rows = run_reference_checks(
         only=args.only, threads=args.threads, max_enum=args.max_enum
@@ -224,7 +203,7 @@ def cmd_verify_paper(args) -> int:
         raise CLIError(f"no reference case matches --only {args.only!r}")
     failed = [row for row in rows if not row["ok"]]
     if args.format == "json":
-        print(json.dumps([_jsonable(row) for row in rows]))
+        print(json.dumps(rows))
     else:
         for row in rows:
             status = "PASS" if row["ok"] else "FAIL"
@@ -246,24 +225,23 @@ def cmd_count(args) -> int:
     q, m = field.q, args.m
     if args.r is not None and not 1 <= args.r <= m:  # before sizing --sets
         raise CLIError(f"--r must lie in 1..{m}, got {args.r}")
-    small = None
-    k = m  # the dimension the search spans: with --sets, that of the union
+    ctx = None  # with --sets, the search context of their union
     if args.sets:
         try:
             union_spec = normalize(args.m, parse_sets(args.sets), False)
         except ValueError as exc:
             raise CLIError(str(exc)) from exc
-        terms = union_terms(union_spec.sets)
-        inside = union_size(terms, q)
-        k = len(set().union(*union_spec.sets))
-        small = min(inside, q**k - inside)
+        ctx = _search_context(field, union_spec)
+    k = m if ctx is None else ctx.k  # the dimension the search spans
     ranks = [args.r] if args.r is not None else list(range(1, m + 1))
     rows = []
     for r in ranks:
         count = gaussian_binomial(m, r, q)
         ops = None
-        if small is not None and r <= k:  # per basis scored, the search's pick
-            width = q**r if _uses_character_sum(field, k, r, small, terms) else small
+        if ctx is not None and r <= k:  # per basis scored, the search's pick
+            width = ctx.side_size
+            if _uses_character_sum(field, k, r, ctx.side_size, ctx.terms):
+                width = q**r
             ops = representative_count(q, k, r) * width * k
         rows.append((r, count, gaussian_binomial(k, r, q), ops))
     total = sum(c for _, c, _, _ in rows)
@@ -276,7 +254,7 @@ def cmd_count(args) -> int:
             payload["rows"].append(entry)
         print(json.dumps(payload))
     else:
-        side = "" if small is None else f" (defining side size {small})"
+        side = "" if ctx is None else f" (defining side size {ctx.side_size})"
         print(f"subspaces of F_{q}^{m}" + side)
         for r, count, _, ops in rows:
             line = f"  r={r:<2} count={count}"

@@ -121,10 +121,13 @@ ranks.  It resolves the cap once, refuses an empty D by
 generators' ``union_terms`` of that spec once: |U|, n, the scanned
 side's spec and size and the U-hat table are read off those terms.  It
 lists no vector.  ``hierarchy_prop1`` checks every rank's G(k, r)
-against the cap, and each rank its own count and the side's F_p entries,
-before the first rank lists the side once (``member_codes``), so an
-oversized request is refused before anything of the side's size is
-allocated.  No vector of K is ever enumerated.
+against the cap before the first search, and each rank checks its own
+count again.  Only the member product reads the side: a rank that takes
+it checks the side's F_p entries, and the first rank that takes the
+member product lists the side once (``member_codes``).  A request whose
+ranks all take the character sum lists nothing, and an oversized request
+is refused before anything of the side's size is allocated.  No vector
+of K is ever enumerated.
 """
 
 from __future__ import annotations
@@ -229,7 +232,7 @@ class _SearchContext:
     kernel: Subspace  # K, which every witness must meet only in zero
     terms: dict  # union_terms of U, the union of D read at C
     max_enum: int  # the resolved cap
-    small: np.ndarray | None = None  # (side_size, k) matrix, once a rank runs
+    small: np.ndarray | None = None  # (side_size, k) matrix, once a rank needs it
     table: np.ndarray | None = None  # _support_table, once a rank needs it
 
 
@@ -345,22 +348,25 @@ def _search(ctx: _SearchContext, r: int, threads: int = 1):
     field, spec = ctx.field, ctx.spec
     q, k = field.q, ctx.k
     total = subspace_count(q, k, r, ctx.max_enum)
-    # each chunk's product expands the scanned side to |side| k e^2 F_p entries
-    check_cap(
-        ctx.side_size * k * field.e**2, ctx.max_enum, what="F_p entries of the scanned side"
-    )
-    # built once every cap has passed and before any thread starts: no lock
-    if ctx.small is None:
-        ctx.small = codes_to_matrix(member_codes(ctx.side, q, ctx.max_enum), q, k)
+    # the side and the table are built once every cap of the rank has
+    # passed and before any thread starts: no lock
+    character_sum = _uses_character_sum(field, k, r, ctx.side_size, ctx.terms)
+    if character_sum:
+        if ctx.table is None:
+            ctx.table = _support_table(q, k, ctx.terms)
+    else:
+        # each chunk's product expands the side to |side| k e^2 F_p entries
+        check_cap(
+            ctx.side_size * k * field.e**2, ctx.max_enum, what="F_p entries of the scanned side"
+        )
+        if ctx.small is None:
+            ctx.small = codes_to_matrix(member_codes(ctx.side, q, ctx.max_enum), q, k)
+    table = ctx.table if character_sum else None
     per_h = q ** (k - r)
     # the zero vector lies in every H-perp and never in a complement
     bound = per_h - spec.complement
     # per row: scoring's product and digit
     step = chunk_rows(8 * min(field.e, 2) * r * ctx.side_size)
-    character_sum = _uses_character_sum(field, k, r, ctx.side_size, ctx.terms)
-    if character_sum and ctx.table is None:
-        ctx.table = _support_table(q, k, ctx.terms)
-    table = ctx.table if character_sum else None
     # the member product counts the side and the character sum counts U;
     # what is counted lies outside D when its complement flag is not D's
     outside = spec.complement != (ctx.side.complement and not character_sum)

@@ -155,24 +155,29 @@ def _check_hierarchy(case: ReferenceCase, threads: int, max_enum) -> dict:
     return result
 
 
+_ROW_KEYS = (
+    "id", "ok", "q", "m", "expected", "formula", "prop1", "definitional", "elapsed_ms", "detail",
+)
+
+
 def run_reference_checks(only: str = None, threads: int = 1, max_enum=None):
     """Run the pinned cases, optionally filtered by id substring.
 
     Returns one dict per executed case with the pinned and computed
-    hierarchies, a pass flag, and timing.
+    hierarchies, a pass flag, and timing, its keys in the order the CLI
+    writes them.
     """
     results = []
     for case in REFERENCE_CASES:
         if only and only not in case.case_id:
             continue
+        row = dict.fromkeys(_ROW_KEYS)
+        row.update(id=case.case_id, q=case.q, m=case.m)
         start = perf_counter()
         if case.hierarchy is None:
-            row = _check_membership(case, max_enum)
+            row.update(_check_membership(case, max_enum))
         else:
-            row = _check_hierarchy(case, threads, max_enum)
-        row["id"] = case.case_id
-        row["q"] = case.q
-        row["m"] = case.m
+            row.update(_check_hierarchy(case, threads, max_enum))
         row["elapsed_ms"] = int(round((perf_counter() - start) * 1000))
         results.append(row)
     return results

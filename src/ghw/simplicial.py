@@ -151,27 +151,33 @@ def cardinality(spec: ComplexSpec, q: int, max_enum=None) -> int:
 
 
 def member_codes(spec: ComplexSpec, q: int, max_enum=None):
-    """Sorted integer codes of every member.  Capped before any work."""
+    """Sorted integer codes of every member.  Each branch is capped by what
+    it holds, before any work: a union lists every generator's codes,
+    sum q^|S_i| of them before duplicates go ("generator codes"); a
+    complement masks the q^m vectors of the ambient space, striking one
+    generator's codes at a time."""
     m = spec.m
     if spec.complement:
         check_cap(q**m, max_enum, what="vectors of the ambient space")
     else:
-        check_cap(cardinality(spec, q, max_enum), max_enum, what="defining vectors")
+        check_cap(sum(q ** len(s) for s in spec.sets), max_enum, what="generator codes")
     top = max(sum((q - 1) * q ** (m - pos) for pos in s) for s in spec.sets)
     if top >= 2**63:  # codes are built in int64
         raise OverflowError(f"member code {top} does not fit in 64 bits")
     digits = np.arange(q, dtype=np.int64)
-    parts = []
-    for s in spec.sets:
+
+    def codes_of(s):
         codes = np.zeros(1, dtype=np.int64)
         for pos in s:
             codes = np.add.outer(codes, q ** (m - pos) * digits).ravel()
-        parts.append(codes)
-    inside = np.concatenate(parts)
+        return codes
+
     if spec.complement:
         keep = np.ones(q**m, dtype=bool)
-        keep[inside] = False
+        for s in spec.sets:
+            keep[codes_of(s)] = False
         return np.flatnonzero(keep).tolist()
+    inside = np.concatenate([codes_of(s) for s in spec.sets])
     # each generator's codes are already an ascending run, which a stable
     # sort merges; np.unique would import numpy.ma on first use (about
     # 16 ms and 1.3 MB per process)

@@ -380,7 +380,7 @@ def _all_but_one(m):
     "argv, walks",
     [
         (["params", "--q", "2", "--m", "18", "--sets", _all_but_one(18)], 1),
-        (["hierarchy", "--q", "3", "--m", "7", "--sets", "1,2,3;3,4,5;5,6,7"], 3),
+        (["hierarchy", "--q", "3", "--m", "7", "--sets", "1,2,3;3,4,5;5,6,7"], 2),
         (["count-subspaces", "--q", "3", "--m", "7", "--sets", "1,2,3;3,4,5;5,6,7"], 1),
     ],
     ids=["params-all-but-one", "hierarchy-q3m7", "count-subspaces"],
@@ -391,7 +391,8 @@ def test_inclusion_exclusion_walks_per_request_are_pinned(
     """The spec is sized by one walk per layer that needs a size: the
     search context (the 18 generators [18] - {i}, 262,143 terms, were
     walked three times), and with hierarchy --method both also the closed
-    form and the union side's member cap.  Emptiness is read off the
+    form.  The member listing caps what it holds and walks nothing, and
+    count-subspaces reads the search context.  Emptiness is read off the
     generators, so the CLI walks nothing to refuse an empty D."""
     calls = _count_walks(monkeypatch)
     assert cli.main(argv) == 0
@@ -484,6 +485,36 @@ def test_a_kernel_spec_is_searched_on_its_union(capsys, monkeypatch, argv, line)
     assert capsys.readouterr().out.startswith(line + "\nmethod: prop1-search ")
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (
+            ["--q", "3", "--m", "15", "--sets", _all_but_one(15)],
+            "[14316139, 15, 9533170] code over GF(3), ",
+        ),
+        (
+            ["--q", "2", "--m", "8", "--sets", "1,2,3;3,4,5;5,6,7;1,7,8"],
+            "[25, 8, 4] code over GF(2), <1,2,3;1,7,8;3,4,5;5,6,7> in F^8\n",
+        ),
+    ],
+    ids=["q3m15-all-but-one", "params-search"],
+)
+def test_a_rank_scored_by_the_character_sum_lists_no_side(capsys, monkeypatch, argv, line):
+    """Only the member product reads the scanned side, so params, whose
+    one rank takes the character sum on these specs, lists nothing.  The
+    side of [15] - {i} over GF(3), its 32,768 full-support vectors, was
+    listed by masking all 3^15 vectors of the ambient space, which the
+    default cap refused."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scanned side was listed")
+
+    monkeypatch.setattr("ghw.code.member_codes", refuse)
+    monkeypatch.delenv("GHW_MAX_ENUM", raising=False)
+    assert cli.main(["params"] + argv) == 0
+    assert capsys.readouterr().out.startswith(line)
+
+
 def test_caps_refuse_before_the_side_is_listed(capsys):
     """Every cap is checked before the scanned side is listed: q=2 m=20
     `1,...,18;19,20` has 2^18 + 3 members, and G(20, 1) = 1,048,575 lines
@@ -560,6 +591,31 @@ def test_reference_filter(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 2
     assert "2 cases: 2 passed, 0 failed" in out
+
+
+def test_reference_json_bytes_are_pinned(capsys):
+    """verify-paper --format json writes one row per case with its keys in
+    a fixed order and every hierarchy as a list; only the timings vary."""
+    cases = (
+        ("thm1", 2, 4, (8, 12, 14, 15)),
+        ("thm2", 2, 5, (4, 6, 10, 12, 13)),
+        ("thm3a", 2, 6, (4, 7, 15, 19, 21, 22)),
+        ("thm3b", 3, 5, (22, 76, 94, 100, 102)),
+        ("thm4", 3, 6, (2, 4, 10, 12, 18, 20)),
+        ("thm5", 2, 5, (12, 18, 21, 23, 24)),
+        ("thm6", 2, 6, (26, 40, 47, 51, 53, 54)),
+        ("thm7", 3, 5, (150, 202, 220, 226, 228)),
+    )
+    rows = []
+    for case_id, q, m, values in cases:
+        h = "[" + ", ".join(map(str, values)) + "]"
+        rows.append(
+            f'{{"id": "{case_id}", "ok": true, "q": {q}, "m": {m}, "expected": {h}, '
+            f'"formula": {h}, "prop1": {h}, "definitional": {h}, "elapsed_ms": 0, "detail": ""}}'
+        )
+    assert cli.main(["verify-paper", "--only", "thm", "--format", "json"]) == 0
+    out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', capsys.readouterr().out)
+    assert out == "[" + ", ".join(rows) + "]\n"
 
 
 def test_reference_filter_without_match(capsys):

@@ -80,6 +80,16 @@ def test_build_code_rejects_empty_defining_set():
         build_code(F2, spec)
 
 
+def test_a_union_listing_is_capped_by_its_generator_codes():
+    """A union lists every generator's codes before duplicates go, so that
+    sum is what the cap bounds: [6] - {i} over GF(2) has 63 members but 6 x
+    2^5 = 192 generator codes."""
+    spec = normalize(6, [[j for j in range(1, 7) if j != i] for i in range(1, 7)], False)
+    with pytest.raises(ResourceCapError, match="refusing to enumerate 192 generator codes"):
+        build_code(F2, spec, max_enum=100)
+    assert build_code(F2, spec, max_enum=192).n == 63
+
+
 def test_an_empty_defining_set_is_refused_before_any_member(monkeypatch):
     """An empty D is read off the generators, so neither the code nor the
     search context enumerates or allocates anything to refuse it."""

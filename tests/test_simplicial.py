@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations, product
 from time import perf_counter
 
@@ -339,6 +340,21 @@ def test_member_codes_refuse_codes_beyond_64_bits():
         member_codes(normalize(40, [[1, 2]], False), 3)
     # the codes of late coordinates stay small even when q^m does not
     assert member_codes(normalize(40, [[40]], False), 3) == [0, 1, 2]
+
+
+def test_member_codes_of_a_complement_strike_one_generator_at_a_time():
+    """The complement of [18] - {i} over GF(2) is the all-ones vector.  Its
+    listing holds the 2^18 mask and one generator's 2^17 codes at a time,
+    not all 18 x 2^17 of them at once (36.3 MB traced)."""
+    spec = normalize(18, [[j for j in range(1, 19) if j != i] for i in range(1, 19)], True)
+    tracemalloc.start()
+    try:
+        codes = member_codes(spec, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert codes == [2**18 - 1]
+    assert peak < 8 * 2**20, peak
 
 
 def test_k_space_reads_no_members(monkeypatch):
