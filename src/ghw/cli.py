@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 from time import perf_counter
 
-from .code import _search, _search_context, _uses_character_sum, hierarchy_prop1
+from .code import BoundViolation, _search, _search_context, _uses_character_sum, hierarchy_prop1
 from .config import DEFAULT_MAX_ENUM, Q_CAP, ResourceCapError, resolve_max_enum
 from .field import Field, field_new
 from .formulas import NotApplicable, hierarchy_formula
@@ -143,21 +143,25 @@ def cmd_hierarchy(args) -> int:
     elif args.method == "brute":
         h = hierarchy_prop1(field, spec, threads=args.threads, max_enum=args.max_enum)
     else:
-        closed = hierarchy_formula(field.q, spec)
+        try:
+            closed = hierarchy_formula(field.q, spec)
+            formula = closed.values
+        except BoundViolation as exc:  # a broken table still meets the search
+            formula = exc.values
         searched = hierarchy_prop1(
             field, spec, threads=args.threads, max_enum=args.max_enum
         )
-        if closed.values != searched.values:
+        if formula != searched.values:
             bad = next(
                 r
-                for r, (x, y) in enumerate(zip(closed.values, searched.values), 1)
+                for r, (x, y) in enumerate(zip(formula, searched.values), 1)
                 if x != y
             )
             record = _base_payload(field, spec)
             record.update(
                 {
                     "r": bad,
-                    "formula": closed.values[bad - 1],
+                    "formula": formula[bad - 1],
                     "search": searched.values[bad - 1],
                 }
             )

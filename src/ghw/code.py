@@ -44,9 +44,9 @@ the character sum counts U, and ``_search`` turns either count into
 outside D.
 
 The member product counts the scanned side directly: v lies in H-perp
-exactly when B v = 0 for the basis matrix B of H, so the chunk is scored
-by one ``field.matmul`` against the side, the same GF(q) product the
-oracle uses.
+exactly when B v = 0 for the basis matrix B of H, so over q > 2 the chunk
+is scored by one ``field.matmul`` against the side, the same GF(q)
+product the oracle uses.
 
 The character sum counts U through H instead.  With chi the canonical
 additive character of GF(q), chi(x) = exp(2 pi i Tr(x) / p), the
@@ -64,6 +64,21 @@ every GF(q).  ``_character_sums`` takes the q^r vectors of every H in one
 ``field.matmul`` of all coefficient vectors against the chunk, packs
 their supports into bitmasks (column j weighs 2^j, as coordinate j + 1
 does in the terms) and adds up their entries in a 2^k table of U-hat.
+
+At q = 2 both methods run on words instead (``_words``): a vector of F^k
+is packed into one int64 with column j weighing 2^j, the table's layout.
+Its support is the word itself, so the character sum builds H's 2^r
+words by doubling, the XORs of its rows' words, and looks each up with
+no product and no packing.  The product of a row and v is the parity of
+the popcount of their AND, so the member product ORs one parity per row
+into a (chunk, |side|) array and counts the zeros.  A word holds k <= 63
+bits.  The character sum runs only where its 2^k table fits
+``_CHUNK_BYTES``, so k <= 21.  The member product packs words only for
+k <= 63; past that, G(k, r) >= 2^k - 1 for every r < k, so the one rank
+any cap lets through is r = k, a single basis, and it keeps the product.
+The counts are those of the GF(2) product, so the pick and all that
+follows from it are the same on both paths; over q > 2 the support of h
+is not h, and only the product path serves.
 
 Per basis the member product has min(e, 2) r |side| entries and the
 character sum q^r k e, so the character sum wins at low ranks and
@@ -134,7 +149,6 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
 from itertools import islice
@@ -216,6 +230,37 @@ class WeightHierarchy:
             )
 
 
+class BoundViolation(ValueError):
+    """A method's weights break a theorem every weight hierarchy obeys;
+    ``values`` holds them, so a cross-check can still report them."""
+
+    def __init__(self, message: str, values: tuple):
+        super().__init__(message)
+        self.values = values
+
+
+def check_hierarchy_bounds(q: int, n: int, k: int, values: tuple) -> tuple:
+    """``values`` as d_1, ..., d_k of an [n, k] code over GF(q), once they
+    pass two theorems every weight hierarchy obeys, in O(k): the
+    generalized Singleton bound d_r <= n - k + r (Wei, 1991) and, for
+    r >= 2, (q^r - 1) d_{r-1} <= (q^r - q) d_r (Helleseth, Kloeve and
+    Ytrehus, 1992).  Every method runs it on the values it returns, so a
+    faulty method fails at sizes no oracle reaches; a violation raises a
+    ``BoundViolation`` naming the rank and the inequality."""
+    for r, d in enumerate(values, start=1):
+        if d > n - k + r:
+            raise BoundViolation(
+                f"d_{r} = {d} breaks the Singleton bound d_r <= n - k + r = {n - k + r}", values
+            )
+        if r >= 2 and (q**r - 1) * values[r - 2] > (q**r - q) * d:
+            raise BoundViolation(
+                f"d_{r - 1} = {values[r - 2]} and d_{r} = {d} break the bound "
+                f"(q^r - 1) d_(r-1) <= (q^r - q) d_r at r = {r}, q = {q}",
+                values,
+            )
+    return values
+
+
 # ----------------------------------------------------------------------
 # subspace search
 
@@ -236,13 +281,30 @@ class _SearchContext:
     table: np.ndarray | None = None  # _support_table, once a rank needs it
 
 
+def _words(vectors: np.ndarray) -> np.ndarray:
+    """GF(2) vectors of F^k (last axis) packed into int64 words, column j
+    weighing 2^j as in the support table's keys; k <= 63 (see the module
+    docstring)."""
+    k = vectors.shape[-1]
+    assert k <= 63, k
+    return vectors @ (1 << np.arange(k, dtype=np.int64))
+
+
 def _orthogonal_counts(field: Field, bases: np.ndarray, vectors: np.ndarray, table=None):
     """For each candidate basis B in the stack, count the rows v of
     ``vectors`` with Bv = 0 by the member product; or, given the
     ``_support_table`` of a union U of coordinate subspaces of F^k, count
-    |U meet H-perp| by the character sum, ``vectors`` unread."""
+    |U meet H-perp| by the character sum, ``vectors`` unread.  At q = 2
+    row i of B and v are words, and their product is the parity of the
+    popcount of their AND."""
     if table is not None:
         return _character_sums(field, bases, table)
+    if field.q == 2 and bases.shape[2] <= 63:
+        rows, side = _words(bases), _words(vectors)
+        odd = np.zeros((len(bases), len(side)), dtype=np.uint8)
+        for i in range(rows.shape[1]):
+            odd |= np.bitwise_count(rows[:, i, None] & side) & 1
+        return len(side) - odd.sum(axis=1, dtype=np.int64)
     return len(vectors) - np.any(matmul(field, bases, vectors.T), axis=1).sum(axis=1)
 
 
@@ -279,10 +341,16 @@ def _character_sums(field: Field, bases: np.ndarray, table: np.ndarray):
     q^-r sum over h in H of U-hat(supp h): every coefficient vector times
     every basis in one product, the supports of the q^r results per basis
     packed into bitmasks of the narrowest unsigned type (column j weighs
-    2^j), each looked up in the table.  A stack of tables (..., 2^k) gives
-    a stack of counts."""
+    2^j), each looked up in the table; at q = 2 the words of H, XORs of
+    its rows' words, are their own supports.  A stack of tables
+    (..., 2^k) gives a stack of counts."""
     c, r, k = bases.shape
     q = field.q
+    if q == 2:
+        span = np.zeros((1, c), dtype=np.int64)
+        for word in _words(bases).T:
+            span = np.concatenate((span, span ^ word))
+        return table[..., span].sum(axis=-2) // 2**r
     rows = bases.transpose(1, 2, 0).reshape(r, k * c)  # coordinate major
     span = matmul(field, codes_to_matrix(range(q**r), q, r), rows)
     word = np.min_scalar_type(table.shape[-1] - 1)
@@ -401,6 +469,10 @@ def _search(ctx: _SearchContext, r: int, threads: int = 1):
             if absorb(score(s)):
                 break
     else:
+        # imported here: concurrent.futures loads logging, which only
+        # threaded runs need
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             # at most 2 x threads chunks in flight, absorbed in submission
             # order: the result matches the serial scan, and an early exit
@@ -443,7 +515,7 @@ def hierarchy_prop1(
     for r in range(1, ctx.k + 1):
         subspace_count(ctx.field.q, ctx.k, r, ctx.max_enum)
     found = [_search(ctx, r, threads) for r in range(1, ctx.k + 1)]
-    values = tuple(value for value, _ in found)
+    values = check_hierarchy_bounds(ctx.field.q, ctx.n, ctx.k, tuple(value for value, _ in found))
     return WeightHierarchy(
         spec=spec,
         n=ctx.n,

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import combinations
 
-from .code import WeightHierarchy
+from .code import WeightHierarchy, check_hierarchy_bounds
 from .field import Field
 from .linalg import Subspace, intersection, subspace_from_vectors
 from .simplicial import ComplexSpec, cardinality
@@ -406,7 +406,7 @@ def hierarchy_formula(q: int, spec: ComplexSpec) -> WeightHierarchy:
         spec=spec,
         n=n,
         k=k,
-        values=base_values,
+        values=check_hierarchy_bounds(q, n, k, base_values),
         provenance=base_prov,
         method="formula",
     )

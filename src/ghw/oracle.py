@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .code import LinearCode, WeightHierarchy
+from .code import LinearCode, WeightHierarchy, check_hierarchy_bounds
 from .config import check_cap
 from .field import Field, matmul
 from .linalg import (
@@ -107,7 +107,9 @@ def hierarchy_definitional(code: LinearCode, max_enum=None) -> WeightHierarchy:
     q, k = code.field.q, code.k
     for r in range(1, k + 1):
         subspace_count(q, k, r, max_enum, what=f"{r}-dim subcodes")
-    values = tuple(ghw_definitional(code, r, max_enum) for r in range(1, k + 1))
+    values = check_hierarchy_bounds(
+        q, code.n, k, tuple(ghw_definitional(code, r, max_enum) for r in range(1, k + 1))
+    )
     return WeightHierarchy(
         spec=code.spec,
         n=code.n,

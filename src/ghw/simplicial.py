@@ -208,25 +208,20 @@ def k_space(spec: ComplexSpec, field: Field) -> Subspace:
     is (1 - lambda) e_j), so K = 0.  For q = 2 let I hold the i for which
     [m] - {i} is a generator: e_j lies in the span for every j outside I
     and every non-face contains I, so K is the even-weight vectors
-    supported on I, of dimension max(0, |I| - 1).  The basis comes from
-    ``subspace_from_vectors``, so it is canonical.
+    supported on I, of dimension max(0, |I| - 1).  A coordinate K's unit
+    rows, in ascending order, are already its canonical RREF basis; the
+    q = 2 basis comes from ``subspace_from_vectors``.
     """
     m = spec.m
     full = set(range(1, m + 1))
     gens = [set(s) for s in spec.sets]
-
-    def unit(*positions):
-        return tuple(int(j in positions) for j in range(1, m + 1))
-
-    if not spec.complement:
-        rows = [unit(i) for i in sorted(full - set().union(*gens))]
-    elif spec.empty:
-        rows = [unit(i) for i in range(1, m + 1)]
-    elif field.q > 2:
-        rows = []
-    else:
-        inner = [i for i in range(1, m + 1) if full - {i} in gens]
-        rows = [unit(inner[0], i) for i in inner[1:]]
+    if not spec.complement or spec.empty:
+        axes = range(1, m + 1) if spec.complement else sorted(full - set().union(*gens))
+        zeros = (0,) * m
+        rows = tuple(zeros[: i - 1] + (1,) + zeros[i:] for i in axes)
+        return Subspace(ambient=m, dim=len(rows), basis=rows, pivots=tuple(i - 1 for i in axes))
+    inner = [i for i in range(1, m + 1) if full - {i} in gens] if field.q == 2 else []
+    rows = [tuple(int(j in (inner[0], i)) for j in range(1, m + 1)) for i in inner[1:]]
     return subspace_from_vectors(field, rows, m)
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import importlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -690,3 +691,18 @@ def test_traced_verify_paper_reports_every_layer(monkeypatch, argv, line):
     assert payload["totals"]["bases_bytes"] > 0
     declared = json.loads((root / "BENCHMARK.json").read_text())["per_layer"]
     assert set(layers.layer_metrics([payload], 1)) == {metric["name"] for metric in declared}
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    """concurrent.futures pulls in logging; only a threaded search needs
+    it, so it is imported there and not when the package loads."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ghw.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

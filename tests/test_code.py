@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from ghw.code import (
+    BoundViolation,
     WeightHierarchy,
     _character_sums,
     _orthogonal_counts,
@@ -22,6 +23,7 @@ from ghw.code import (
     _uses_character_sum,
     _valid_mask,
     build_code,
+    check_hierarchy_bounds,
     ghw_prop1,
     hierarchy_prop1,
 )
@@ -529,7 +531,7 @@ def test_one_cpu_takes_the_serial_path(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("unexpected call")
 
-    monkeypatch.setattr("ghw.code.ThreadPoolExecutor", refuse)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", refuse)
     monkeypatch.setattr(os, "cpu_count", refuse)
     assert hierarchy_prop1(F2, spec, threads=1) == serial
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
@@ -580,6 +582,57 @@ def test_orthogonal_counts_match_scalar_dot_products(field):
                 for basis in bases.tolist()
             ]
             assert _orthogonal_counts(field, bases, vectors).tolist() == want, (m, r)
+
+
+def test_word_member_product_holds_63_bits():
+    """At q = 2 the member product packs rows and side vectors into int64
+    words; at k = 63, with bit 62 set in every row and half the side, the
+    counts equal those of scalar dot products mod 2."""
+    rng = np.random.default_rng(63)
+    bases = rng.integers(0, 2, size=(40, 3, 63), dtype=np.int64)
+    bases[:, :, 62] = 1
+    vectors = rng.integers(0, 2, size=(300, 63), dtype=np.int64)
+    vectors[:150, 62] = 1
+    vectors[150:160] = 0  # orthogonal to every basis
+    want = [
+        sum(all(sum(b * x for b, x in zip(row, v)) % 2 == 0 for row in basis) for v in vectors.tolist())
+        for basis in bases.tolist()
+    ]
+    assert min(want) >= 10
+    assert _orthogonal_counts(F2, bases, vectors).tolist() == want
+
+
+def test_rank_62_of_62_coordinates_is_scored_in_words():
+    """q = 2, m = 62, the 31 pairs {2i - 1, 2i}: n = 1 + 31 * 3 = 94 and
+    rank 62 takes the member product on 62-bit words; H = F^62 leaves only
+    the zero vector of D in H-perp, so d_62 = 93."""
+    spec = normalize(62, [[2 * i - 1, 2 * i] for i in range(1, 32)], False)
+    value, witness = ghw_prop1(F2, spec, 62)
+    assert (value, witness.dim, witness.pivots) == (93, 62, tuple(range(62)))
+
+
+def test_rank_k_past_63_bits_keeps_the_product():
+    """At k = 64 a word cannot hold a vector; the one rank any cap admits
+    there is r = k, a single basis, and it keeps the GF(2) product:
+    H = F^64 leaves only the zero vector in H-perp, which the complement
+    misses, so d_64 = n = 2^64 - 4.  (Decoding that side's codes divides
+    by int64 weights that overflow past 2^62, hence numpy's warning.)"""
+    spec = normalize(64, [[63, 64]], True)
+    with np.errstate(divide="ignore"):
+        value, _ = ghw_prop1(F2, spec, 64)
+    assert value == 2**64 - 4
+
+
+def test_two_threads_match_the_serial_search_across_both_methods(monkeypatch):
+    """q=2 m=9 `1,2,3,4,5;5,6,7,8,9` scores ranks 1-5 by the character sum
+    and ranks 6-9 by the member product; two threads give the serial
+    values and witnesses."""
+    spec = normalize(9, [[1, 2, 3, 4, 5], [5, 6, 7, 8, 9]], False)
+    serial = hierarchy_prop1(F2, spec)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    threaded = hierarchy_prop1(F2, spec, threads=2)
+    assert serial.values == (16, 24, 28, 30, 46, 54, 58, 60, 61)
+    assert threaded == serial and threaded.witnesses == serial.witnesses
 
 
 # ---- one basis per column orbit -----------------------------------------
@@ -867,3 +920,38 @@ def test_support_table_is_built_once_and_only_when_used(monkeypatch):
         sys.setswitchinterval(interval)
     assert built == [(2, 7), (2, 7)]
     assert threaded == serial and threaded.witnesses == serial.witnesses
+
+
+# ---- theorem checks on every hierarchy ----------------------------------
+
+
+def test_hierarchy_bounds_refuse_each_broken_inequality():
+    """The Singleton bound d_r <= n - k + r and (q^r - 1) d_(r-1) <=
+    (q^r - q) d_r: each hand-built violation raises and names its rank;
+    a true hierarchy (q=2 m=3 `1,2,3`, the simplex code) passes."""
+    assert check_hierarchy_bounds(2, 8, 3, (4, 6, 7)) == (4, 6, 7)
+    with pytest.raises(BoundViolation, match=r"d_2 = 8 breaks the Singleton bound .* = 7") as info:
+        check_hierarchy_bounds(2, 8, 3, (4, 8, 9))
+    assert info.value.values == (4, 8, 9)
+    with pytest.raises(ValueError, match=r"d_1 = 5 and d_2 = 6 break .* at r = 2, q = 2"):
+        check_hierarchy_bounds(2, 8, 3, (5, 6, 7))
+    with pytest.raises(ValueError, match=r"at r = 3, q = 3"):
+        check_hierarchy_bounds(3, 30, 3, (18, 24, 25))  # 26 * 24 > 24 * 25
+
+
+def test_every_method_checks_its_hierarchy(monkeypatch):
+    """The closed form, the search and the subcode enumeration each pass
+    their hierarchy through the theorem checks."""
+    seen = []
+
+    def recording(q, n, k, values):
+        seen.append((q, n, k, values))
+        return check_hierarchy_bounds(q, n, k, values)
+
+    for module in ("ghw.code", "ghw.formulas", "ghw.oracle"):
+        monkeypatch.setattr(f"{module}.check_hierarchy_bounds", recording)
+    spec = normalize(5, [[1, 2, 3], [3, 4, 5]], False)
+    hierarchy_formula(2, spec)
+    hierarchy_prop1(F2, spec)
+    hierarchy_definitional(build_code(F2, spec))
+    assert seen == [(2, 14, 5, (4, 6, 10, 12, 13))] * 3

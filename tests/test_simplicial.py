@@ -373,3 +373,20 @@ def test_k_space_reads_no_members(monkeypatch):
         tuple(int(j in (5, 9)) for j in range(1, 17)),
     )
     assert k_space(normalize(16, big, True), F3).dim == 0
+
+
+def test_k_space_of_a_plain_spec_needs_no_reduction(monkeypatch):
+    """A plain spec's K is the coordinate subspace off the union, and an
+    empty D's is F^m: their unit rows are already the canonical basis, so
+    no row reduction runs, even at m = 2000."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("k_space reduced unit rows")
+
+    monkeypatch.setattr("ghw.simplicial.subspace_from_vectors", refuse)
+    m = 2000
+    ker = k_space(normalize(m, [[1, 2]], False), F2)
+    assert (ker.ambient, ker.dim, ker.pivots) == (m, m - 2, tuple(range(2, m)))
+    assert ker.basis[0] == (0, 0, 1) + (0,) * (m - 3)
+    assert ker.basis[-1] == (0,) * (m - 1) + (1,)
+    assert k_space(normalize(3, [[1, 2, 3]], True), F3).pivots == (0, 1, 2)
