@@ -118,7 +118,7 @@ def cmd_params(args) -> int:
         if args.verbose:
             print(f"note: no closed form ({exc.reason}); searching", file=sys.stderr)
         ctx = _search_context(field, spec, args.max_enum)
-        d1, _ = _search(ctx, 1, args.threads)
+        d1, _ = _search(ctx, 1)
         n, k = ctx.n, ctx.k
         method = "prop1-search"
     elapsed = int(round((perf_counter() - start) * 1000))
@@ -304,8 +304,8 @@ def _add_field_options(sub, need_sets=True):
         )
 
 
-def _add_run_options(sub):
-    sub.add_argument("--threads", type=_positive, default=1)
+def _add_run_options(sub, threads_help):
+    sub.add_argument("--threads", type=_positive, default=1, help=threads_help)
     sub.add_argument(
         "--max-enum",
         type=int,
@@ -325,13 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("params", help="length, dimension, and minimum distance")
     _add_field_options(p)
-    _add_run_options(p)
+    _add_run_options(p, "accepted and validated; params searches one rank, on one thread")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_params)
 
     p = subs.add_parser("hierarchy", help="full weight hierarchy")
     _add_field_options(p)
-    _add_run_options(p)
+    _add_run_options(p, "ranks searched at once, at most one thread per CPU; same results")
     p.add_argument(
         "--method",
         choices=["formula", "brute", "both"],

@@ -87,8 +87,8 @@ is the smaller, the table's 2^k x 8 bytes fit ``linalg._CHUNK_BYTES``,
 and q^r sum_T |c_T| q^|T|, which bounds every partial sum, is below
 2^63, so int64 holds the sum exactly.  It reads only the field, k, r,
 the side's size and the terms, so no option or run changes the pick.
-``_search`` makes the pick once per rank and builds the table onto the
-search context before any thread starts, so threads only read it and
+``_search`` makes the pick once per rank, and the table is built onto
+the search context before any thread starts, so threads only read it and
 need no lock, and the table goes with the context.
 The counts being identical, the chunk step, the orbit representatives,
 the cap checks and their order are untouched, and so are values,
@@ -100,9 +100,9 @@ rows, so the products of scoring stay within ``linalg._CHUNK_BYTES``
 however large the scanned side.  A chunk reduces
 to its best value and a copy of its first optimal basis, so nothing of
 the rank outlives the scan, and the scan stops at the first chunk that
-reaches the bound.  With threads (never more than the CPUs), at most
-2 x threads chunks are in flight and they are absorbed in order, which
-gives the serial result and witness.
+reaches the bound.  Threads take whole ranks, never the chunks of one
+(``hierarchy_prop1``): every rank is this serial scan, so values and
+witnesses do not depend on the thread count.
 
 Over q > 2 only one basis per column orbit of each chunk is built and
 scored.  D read at C is a union of coordinate subspaces of F^k or its
@@ -136,22 +136,21 @@ ranks.  It resolves the cap once, refuses an empty D by
 generators' ``union_terms`` of that spec once: |U|, n, the scanned
 side's spec and size and the U-hat table are read off those terms.  It
 lists no vector.  ``hierarchy_prop1`` checks every rank's G(k, r)
-against the cap before the first search, and each rank checks its own
-count again.  Only the member product reads the side: a rank that takes
-it checks the side's F_p entries, and the first rank that takes the
-member product lists the side once (``member_codes``).  A request whose
-ranks all take the character sum lists nothing, and an oversized request
-is refused before anything of the side's size is allocated.  No vector
-of K is ever enumerated.
+against the cap, then the side's F_p entries for every rank that takes
+the member product, the only method that reads the side; then it builds
+the U-hat table if some rank takes the character sum and lists the side
+once (``member_codes``) if some rank takes the member product, all
+before the first search.  A search of one rank checks and builds the
+same for itself.  A request whose ranks all take the character sum lists
+nothing, and an oversized request is refused before anything of the
+side's size is allocated.  No vector of K is ever enumerated.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
-from itertools import islice
 
 import numpy as np
 
@@ -408,7 +407,29 @@ def _search_context(field: Field, spec: ComplexSpec, max_enum=None) -> _SearchCo
     )
 
 
-def _search(ctx: _SearchContext, r: int, threads: int = 1):
+def _takes_character_sum(ctx: _SearchContext, r: int) -> bool:
+    """Does rank r take the character sum?  A rank taking the member
+    product first checks the side's F_p entries against the cap: each
+    chunk's product expands the side to |side| k e^2 of them."""
+    field = ctx.field
+    if _uses_character_sum(field, ctx.k, r, ctx.side_size, ctx.terms):
+        return True
+    check_cap(ctx.side_size * ctx.k * field.e**2, ctx.max_enum, what="F_p entries of the scanned side")
+    return False
+
+
+def _build(ctx: _SearchContext, character_sum: bool) -> None:
+    """Build onto the context, once, what the method reads: the U-hat
+    table for the character sum, the listed side for the member product."""
+    q, k = ctx.field.q, ctx.k
+    if character_sum:
+        if ctx.table is None:
+            ctx.table = _support_table(q, k, ctx.terms)
+    elif ctx.small is None:
+        ctx.small = codes_to_matrix(member_codes(ctx.side, q, ctx.max_enum), q, k)
+
+
+def _search(ctx: _SearchContext, r: int):
     """d_r and its witness: (n - max |D meet H-perp| over the r-dim H inside
     F^C, the first such H in canonical order attaining the max)."""
     if not 1 <= r <= ctx.k:
@@ -416,19 +437,8 @@ def _search(ctx: _SearchContext, r: int, threads: int = 1):
     field, spec = ctx.field, ctx.spec
     q, k = field.q, ctx.k
     total = subspace_count(q, k, r, ctx.max_enum)
-    # the side and the table are built once every cap of the rank has
-    # passed and before any thread starts: no lock
-    character_sum = _uses_character_sum(field, k, r, ctx.side_size, ctx.terms)
-    if character_sum:
-        if ctx.table is None:
-            ctx.table = _support_table(q, k, ctx.terms)
-    else:
-        # each chunk's product expands the side to |side| k e^2 F_p entries
-        check_cap(
-            ctx.side_size * k * field.e**2, ctx.max_enum, what="F_p entries of the scanned side"
-        )
-        if ctx.small is None:
-            ctx.small = codes_to_matrix(member_codes(ctx.side, q, ctx.max_enum), q, k)
+    character_sum = _takes_character_sum(ctx, r)
+    _build(ctx, character_sum)
     table = ctx.table if character_sum else None
     per_h = q ** (k - r)
     # the zero vector lies in every H-perp and never in a complement
@@ -438,54 +448,19 @@ def _search(ctx: _SearchContext, r: int, threads: int = 1):
     # the member product counts the side and the character sum counts U;
     # what is counted lies outside D when its complement flag is not D's
     outside = spec.complement != (ctx.side.complement and not character_sum)
-
-    def score(start):
-        """(best |D meet H-perp|, a copy of the first basis attaining it)
-        over the chunk at start, or None when it holds no basis."""
+    best = witness = None
+    for start in range(0, total, step):
         # one basis per column orbit; see the module docstring
-        chunk = subspace_bases_array(
-            q, k, r, start, min(start + step, total), orbits=q > 2
-        )
+        chunk = subspace_bases_array(q, k, r, start, min(start + step, total), orbits=q > 2)
         if not len(chunk):
-            return None
+            continue
         counts = _orthogonal_counts(field, chunk, ctx.small, table)
         inside = per_h - counts if outside else counts
         pos = int(np.argmax(inside))
-        return int(inside[pos]), chunk[pos].copy()
-
-    best = witness = None
-
-    def absorb(found):
-        nonlocal best, witness
-        if found is not None and (best is None or found[0] > best):
-            best, witness = found
-        return best == bound
-
-    starts = iter(range(0, total, step))
-    if threads > 1:
-        threads = min(threads, os.cpu_count() or 1)
-    if threads <= 1:
-        for s in starts:
-            if absorb(score(s)):
+        if best is None or inside[pos] > best:
+            best, witness = int(inside[pos]), chunk[pos].copy()
+            if best == bound:
                 break
-    else:
-        # imported here: concurrent.futures loads logging, which only
-        # threaded runs need
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            # at most 2 x threads chunks in flight, absorbed in submission
-            # order: the result matches the serial scan, and an early exit
-            # leaves little work behind
-            window = deque(pool.submit(score, s) for s in islice(starts, 2 * threads))
-            while window:
-                if absorb(window.popleft().result()):
-                    for fut in window:
-                        fut.cancel()
-                    break
-                s = next(starts, None)
-                if s is not None:
-                    window.append(pool.submit(score, s))
     embedded = np.zeros((r, spec.m), dtype=np.int64)
     embedded[:, ctx.columns] = witness
     if not _valid_mask(field, embedded[None], ctx.kernel).all():
@@ -493,8 +468,9 @@ def _search(ctx: _SearchContext, r: int, threads: int = 1):
     return ctx.n - best, subspace_from_rref(embedded)
 
 
-def ghw_prop1(field: Field, spec: ComplexSpec, r: int, threads: int = 1, max_enum=None):
-    """r-th generalized Hamming weight by exhaustive subspace search.
+def ghw_prop1(field: Field, spec: ComplexSpec, r: int, *, max_enum=None):
+    """r-th generalized Hamming weight by exhaustive subspace search, on
+    one thread.
 
     Returns (value, witness) where the witness is the first subspace in
     canonical order attaining the optimum among the r-dim subspaces of
@@ -502,19 +478,34 @@ def ghw_prop1(field: Field, spec: ComplexSpec, r: int, threads: int = 1, max_enu
     of F^m when the kernel is zero): the search runs on D read at C, in
     F^k with k = |C|, and embeds its optimum at C's columns.
     """
-    return _search(_search_context(field, spec, max_enum), r, threads)
+    return _search(_search_context(field, spec, max_enum), r)
 
 
 def hierarchy_prop1(
     field: Field, spec: ComplexSpec, threads: int = 1, max_enum=None
 ) -> WeightHierarchy:
     """Full weight hierarchy by subspace search, one search per rank,
-    keeping each rank's witness.  Every rank's candidate count, G(k, r),
-    is checked against the cap before the first search starts."""
+    keeping each rank's witness.  Every cap of every rank is checked, and
+    the U-hat table and the side are built, before the first search
+    starts; the ranks then run on min(threads, CPUs, k) threads, each
+    rank a serial scan, so nothing is written to the context while they
+    run and the result is that of one thread."""
     ctx = _search_context(field, spec, max_enum)
-    for r in range(1, ctx.k + 1):
+    ranks = range(1, ctx.k + 1)
+    for r in ranks:
         subspace_count(ctx.field.q, ctx.k, r, ctx.max_enum)
-    found = [_search(ctx, r, threads) for r in range(1, ctx.k + 1)]
+    for character_sum in {_takes_character_sum(ctx, r) for r in ranks}:
+        _build(ctx, character_sum)
+    workers = min(threads, ctx.k, os.cpu_count() or 1) if threads > 1 else 1
+    if workers > 1:
+        # imported here: concurrent.futures loads logging, which only
+        # threaded runs need
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            found = list(pool.map(lambda r: _search(ctx, r), ranks))
+    else:
+        found = [_search(ctx, r) for r in ranks]
     values = check_hierarchy_bounds(ctx.field.q, ctx.n, ctx.k, tuple(value for value, _ in found))
     return WeightHierarchy(
         spec=spec,

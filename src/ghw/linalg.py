@@ -83,10 +83,15 @@ class Subspace:
 
 
 def codes_to_matrix(codes, q: int, m: int):
-    """Decode integer codes into an (N, m) int64 matrix of element codes."""
-    arr = np.asarray(codes, dtype=np.int64).reshape(-1, 1)
-    weights = q ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    return (arr // weights) % q
+    """Decode integer codes into an (N, m) int64 matrix of element codes,
+    the first column the most significant digit.  The digits are peeled
+    off least significant first, so no power of q past the codes is ever
+    formed and nothing wraps at any m."""
+    rest = np.asarray(codes, dtype=np.int64).reshape(-1)
+    out = np.empty((len(rest), m), dtype=np.int64)
+    for j in range(m - 1, -1, -1):
+        rest, out[:, j] = np.divmod(rest, q)
+    return out
 
 
 def span_vectors(field: Field, basis) -> np.ndarray:

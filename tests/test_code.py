@@ -1,3 +1,4 @@
+import concurrent.futures
 import gc
 import hashlib
 import math
@@ -6,7 +7,7 @@ import random
 import sys
 import threading
 import tracemalloc
-from collections import Counter, defaultdict
+from collections import Counter
 from itertools import combinations, product
 
 import numpy as np
@@ -273,21 +274,48 @@ def test_witness_attains_the_weight():
         assert code.n - hits == value
 
 
-def test_search_is_thread_count_independent():
+def test_search_is_thread_count_independent(monkeypatch):
+    """Threads take whole ranks, each a serial scan: one, two and eight
+    threads give the same hierarchy and witnesses, and so does the search
+    of each rank alone."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     spec = normalize(5, [[1, 2, 3], [3, 4, 5]], False)
-    single = hierarchy_prop1(F2, spec, threads=1)
-    multi = hierarchy_prop1(F2, spec, threads=4)
-    assert single.values == multi.values
-    for r in (1, 2, 3):
-        _, w1 = ghw_prop1(F2, spec, r, threads=1)
-        _, w4 = ghw_prop1(F2, spec, r, threads=4)
-        assert w1 == w4
+    serial, *threaded = (hierarchy_prop1(F2, spec, threads=t) for t in (1, 2, 8))
+    for h in threaded:
+        assert h == serial and h.witnesses == serial.witnesses
+    for r in range(1, serial.k + 1):
+        assert ghw_prop1(F2, spec, r) == (serial.values[r - 1], serial.witnesses[r - 1])
+
+
+def test_one_rank_takes_no_thread_count():
+    """``max_enum`` is keyword-only, so a fourth positional argument, such
+    as a thread count, fails instead of becoming a cap."""
+    with pytest.raises(TypeError):
+        ghw_prop1(F2, normalize(5, [[1, 2, 3], [3, 4, 5]], False), 1, 4)
 
 
 def test_search_respects_cap():
     spec = normalize(5, [[1, 2, 3], [3, 4, 5]], False)
     with pytest.raises(ResourceCapError):
         ghw_prop1(F2, spec, 2, max_enum=50)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_every_cap_is_checked_before_anything_is_allocated(monkeypatch, threads):
+    """q=3 m=3 `1,2;3` takes the character sum at rank 1 and the member
+    product at rank 2, whose side's 33 F_p entries are over a cap of 20
+    (every G(3, r) is under it).  The refusal comes before the U-hat
+    table is built, the side is listed or any chunk is scored."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before every cap was checked")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for name in ("_support_table", "member_codes", "_orthogonal_counts"):
+        monkeypatch.setattr(f"ghw.code.{name}", refuse)
+    spec = normalize(3, [[1, 2], [3]], False)
+    with pytest.raises(ResourceCapError, match="refusing to enumerate 33 F_p entries of the scanned side"):
+        hierarchy_prop1(F3, spec, threads=threads, max_enum=20)
 
 
 def test_hierarchy_refuses_an_oversized_rank_before_searching(monkeypatch):
@@ -402,9 +430,11 @@ def test_rank_bounds_are_enforced():
         ghw_prop1(F2, spec, 0)
 
 
-def test_threaded_search_keeps_a_bounded_window(monkeypatch):
-    """Past an early exit, at most 2 x threads chunks per rank are scored
-    beyond the serial scan, and the result is the serial one."""
+def test_threaded_ranks_score_the_serial_chunks(monkeypatch):
+    """Each rank is one serial scan on whichever thread takes it, so with
+    two threads every rank scores exactly the chunks it scores alone,
+    none past its early exit, and the result is the serial one."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     spec = normalize(8, [[1, 2, 3, 4], [4, 5, 6, 7, 8]], False)
 
     def run(threads):
@@ -422,8 +452,7 @@ def test_threaded_search_keeps_a_bounded_window(monkeypatch):
     threaded, threaded_chunks = run(2)
     assert threaded.values == serial.values
     assert threaded.witnesses == serial.witnesses
-    for r, count in threaded_chunks.items():
-        assert count <= serial_chunks[r] + 2 * 2, (r, serial_chunks, threaded_chunks)
+    assert threaded_chunks == serial_chunks
 
 
 def test_search_memory_is_bounded_by_the_chunk():
@@ -508,23 +537,52 @@ def test_early_exit_rows_are_pinned(monkeypatch, field, m, sets, complement, gen
     assert [kept[r] for r in sorted(kept)] == scored
 
 
+def _pool_and_searchers(monkeypatch, cpus, threads, spec):
+    """The hierarchy, the worker counts of the pools started and the
+    threads that ran ``_search``, with ``cpus`` CPUs."""
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    pools, idents = [], set()
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    def searching(ctx, r):
+        idents.add(threading.get_ident())
+        return _search(ctx, r)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr("ghw.code._search", searching)
+    return hierarchy_prop1(F2, spec, threads=threads), pools, idents
+
+
 def test_threads_are_clamped_to_the_cpus(monkeypatch):
-    """Threads past the CPUs only add chunks in flight, so no rank starts
-    more threads than there are CPUs, whatever --threads asks for."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    idents = defaultdict(set)
-    _scoring_calls(monkeypatch, lambda bases, _: idents[bases.shape[1]].add(threading.get_ident()))
-    # no kernel, and ranks 2 and 3 score 3 and 24 chunks
-    h = hierarchy_prop1(F2, normalize(8, [[1, 2, 3], [3, 4, 5], [5, 6, 7, 8]], False), threads=8)
-    assert h.values == (4, 6, 10, 12, 20, 24, 26, 27)
-    assert sorted(idents) == [1, 2, 3, 4, 5, 6, 7, 8]
-    assert all(len(seen) <= 2 for seen in idents.values()), idents
+    """A thread takes whole ranks, so no more than min(threads, CPUs)
+    threads start and run ``_search`` on the 8 ranks of q=2 m=8
+    `1,2,3;3,4,5;5,6,7,8`, whatever --threads asks for."""
+    spec = normalize(8, [[1, 2, 3], [3, 4, 5], [5, 6, 7, 8]], False)
+    for cpus, threads in ((2, 8), (8, 3)):
+        with monkeypatch.context() as patch:
+            h, pools, idents = _pool_and_searchers(patch, cpus, threads, spec)
+        assert h.values == (4, 6, 10, 12, 20, 24, 26, 27)
+        assert pools == [min(cpus, threads)]
+        assert 1 <= len(idents) <= min(cpus, threads), idents
+
+
+def test_threads_are_clamped_to_the_ranks(monkeypatch):
+    """Three ranks keep at most three of eight threads busy, so only
+    three start."""
+    h, pools, idents = _pool_and_searchers(monkeypatch, 8, 8, normalize(3, [[1, 2], [2, 3]], False))
+    assert h.values == (2, 4, 5)
+    assert pools == [3]
+    assert 1 <= len(idents) <= 3, idents
 
 
 def test_one_cpu_takes_the_serial_path(monkeypatch):
     """The thread count is clamped before the path is chosen, so on one CPU
-    --threads 4 runs the serial loop and starts no pool; --threads 1 never
-    asks for the CPU count."""
+    --threads 4 searches the ranks in turn and starts no pool; --threads 1
+    never asks for the CPU count."""
     spec = normalize(5, [[1, 2, 3], [3, 4, 5]], False)
     serial = hierarchy_prop1(F2, spec)
 
@@ -615,11 +673,9 @@ def test_rank_k_past_63_bits_keeps_the_product():
     """At k = 64 a word cannot hold a vector; the one rank any cap admits
     there is r = k, a single basis, and it keeps the GF(2) product:
     H = F^64 leaves only the zero vector in H-perp, which the complement
-    misses, so d_64 = n = 2^64 - 4.  (Decoding that side's codes divides
-    by int64 weights that overflow past 2^62, hence numpy's warning.)"""
+    misses, so d_64 = n = 2^64 - 4."""
     spec = normalize(64, [[63, 64]], True)
-    with np.errstate(divide="ignore"):
-        value, _ = ghw_prop1(F2, spec, 64)
+    value, _ = ghw_prop1(F2, spec, 64)
     assert value == 2**64 - 4
 
 
@@ -897,8 +953,9 @@ def test_character_sum_refuses_a_table_past_the_chunk_bytes():
 def test_support_table_is_built_once_and_only_when_used(monkeypatch):
     """No rank of q=2 m=5 `1,2;3,4` takes the character sum, so no table
     is built; q=2 m=7 `1,2,3,4;4,5,6,7` takes it at ranks 1-4 and builds
-    its table once, also with eight threads scoring (more than the CPUs,
-    with a short switch interval), and gives the serial result."""
+    its table once, before any rank starts, also with eight threads
+    searching ranks (with a short switch interval), and gives the serial
+    result."""
     built = []
 
     def counting(q, m, terms):

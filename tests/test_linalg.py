@@ -11,6 +11,7 @@ from ghw.linalg import (
     _CHUNK,
     _CHUNK_BYTES,
     chunk_rows,
+    codes_to_matrix,
     dual,
     enumerate_subspaces,
     gaussian_binomial,
@@ -126,6 +127,16 @@ def test_intersection_over_extension_field():
 def test_support_is_one_based():
     assert support((0, 1, 0, 2)) == {2, 4}
     assert support((0, 0)) == frozenset()
+
+
+@pytest.mark.parametrize("q, m", [(2, 63), (2, 64), (2, 65), (3, 41), (5, 30)])
+def test_codes_decode_at_any_width(q, m):
+    """Digits come off least significant first, so a small code decodes
+    to leading zeros however far q^(m-1) lies past 2^63."""
+    codes = [0, 1, q, q**2 - 1]
+    want = [[0] * (m - 2) + [c // q, c % q] for c in codes]
+    assert codes_to_matrix(codes, q, m).tolist() == want
+    assert codes_to_matrix([2**63 - 1], 2, 65).tolist() == [[0, 0] + [1] * 63]
 
 
 # ---- counting and enumeration -----------------------------------------

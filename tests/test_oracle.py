@@ -40,6 +40,19 @@ def _axis(field, i, m):
 # ---- subcode enumeration ---------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "field, m, values", [(F3, 41, (6, 8)), (F2, 64, (2, 3))], ids=["q3m41", "q2m64"]
+)
+def test_columns_past_63_bits_are_decoded(field, m, values):
+    """The columns of <m-1, m> in F^m have codes below q^2, but the
+    leading digit of F^m weighs q^(m-1) >= 2^63; decoded without that
+    weight, the generator has rank k = 2 and the oracle agrees with the
+    search."""
+    spec = normalize(m, [[m - 1, m]], False)
+    assert hierarchy_definitional(build_code(field, spec)).values == values
+    assert hierarchy_prop1(field, spec).values == values
+
+
 def test_definitional_tiny_code_by_hand():
     # two single points plus the origin: three columns, one per vector of
     # weight at most one, so the lightest codeword has weight 1 and the
