@@ -141,16 +141,14 @@ def cmd_hierarchy(args) -> int:
     if args.method == "formula":
         h = hierarchy_formula(field.q, spec)
     elif args.method == "brute":
-        h = hierarchy_prop1(field, spec, threads=args.threads, max_enum=args.max_enum)
+        h = hierarchy_prop1(field, spec, max_enum=args.max_enum)
     else:
         try:
             closed = hierarchy_formula(field.q, spec)
             formula = closed.values
         except BoundViolation as exc:  # a broken table still meets the search
             formula = exc.values
-        searched = hierarchy_prop1(
-            field, spec, threads=args.threads, max_enum=args.max_enum
-        )
+        searched = hierarchy_prop1(field, spec, max_enum=args.max_enum)
         if formula != searched.values:
             bad = next(
                 r
@@ -200,9 +198,7 @@ def cmd_hierarchy(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    rows = run_reference_checks(
-        only=args.only, threads=args.threads, max_enum=args.max_enum
-    )
+    rows = run_reference_checks(only=args.only, max_enum=args.max_enum)
     if not rows:
         raise CLIError(f"no reference case matches --only {args.only!r}")
     failed = [row for row in rows if not row["ok"]]
@@ -304,8 +300,14 @@ def _add_field_options(sub, need_sets=True):
         )
 
 
-def _add_run_options(sub, threads_help):
-    sub.add_argument("--threads", type=_positive, default=1, help=threads_help)
+_THREADS_HELP = (
+    "accepted and validated (at least 1) for compatibility; "
+    "ranks are searched in turn, so results are unchanged"
+)
+
+
+def _add_run_options(sub):
+    sub.add_argument("--threads", type=_positive, default=1, help=_THREADS_HELP)
     sub.add_argument(
         "--max-enum",
         type=int,
@@ -325,13 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("params", help="length, dimension, and minimum distance")
     _add_field_options(p)
-    _add_run_options(p, "accepted and validated; params searches one rank, on one thread")
+    _add_run_options(p)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_params)
 
     p = subs.add_parser("hierarchy", help="full weight hierarchy")
     _add_field_options(p)
-    _add_run_options(p, "ranks searched at once, at most one thread per CPU; same results")
+    _add_run_options(p)
     p.add_argument(
         "--method",
         choices=["formula", "brute", "both"],
@@ -346,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the built-in reference suite (pinned hierarchies, three methods)",
     )
     p.add_argument("--only", default=None, help="substring filter on case ids")
-    p.add_argument("--threads", type=_positive, default=1)
+    p.add_argument("--threads", type=_positive, default=1, help=_THREADS_HELP)
     p.add_argument("--max-enum", type=int, default=None)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_verify_paper)

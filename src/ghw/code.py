@@ -88,8 +88,8 @@ and q^r sum_T |c_T| q^|T|, which bounds every partial sum, is below
 2^63, so int64 holds the sum exactly.  It reads only the field, k, r,
 the side's size and the terms, so no option or run changes the pick.
 ``_search`` makes the pick once per rank, and the table is built onto
-the search context before any thread starts, so threads only read it and
-need no lock, and the table goes with the context.
+the search context, so the ranks of a request share it and it goes with
+the context.
 The counts being identical, the chunk step, the orbit representatives,
 the cap checks and their order are untouched, and so are values,
 ``--verbose`` witnesses and the chunk where the early exit fires.
@@ -100,9 +100,8 @@ rows, so the products of scoring stay within ``linalg._CHUNK_BYTES``
 however large the scanned side.  A chunk reduces
 to its best value and a copy of its first optimal basis, so nothing of
 the rank outlives the scan, and the scan stops at the first chunk that
-reaches the bound.  Threads take whole ranks, never the chunks of one
-(``hierarchy_prop1``): every rank is this serial scan, so values and
-witnesses do not depend on the thread count.
+reaches the bound.  ``hierarchy_prop1`` runs this scan for each rank in
+turn.
 
 Over q > 2 only one basis per column orbit of each chunk is built and
 scored.  D read at C is a union of coordinate subspaces of F^k or its
@@ -148,7 +147,6 @@ side's size is allocated.  No vector of K is ever enumerated.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
 
@@ -364,16 +362,26 @@ def _character_sums(field: Field, bases: np.ndarray, table: np.ndarray):
 
 def _valid_mask(field: Field, bases: np.ndarray, kernel: Subspace) -> np.ndarray:
     """True where the candidate meets the kernel only in zero: where its
-    r rows stacked on K's basis have rank r + dim K.  The search never
-    builds a candidate that meets K, so it runs this once per rank, on the
-    witness, as a check of that.  A zero K is met by nothing, so it is
-    settled without a reduction."""
+    r rows stacked on K's basis have rank r + dim K.  Each row is first
+    cleared at K's pivots by K's RREF rows, which are zero at each other's
+    pivots; a nonzero vector of K is nonzero at some pivot, so the stack
+    has that rank exactly when the r cleared rows have rank r, and only
+    they are reduced.  The search never builds a candidate that meets K,
+    so it runs this once per rank, on the witness, as a check of that.  A
+    zero K is met by nothing, so it is settled without a reduction."""
     if not kernel.dim:
         return np.ones(len(bases), dtype=bool)
+
+    def cleared(row):
+        for pivot, k_row in zip(kernel.pivots, kernel.basis):
+            c = row[pivot]
+            if c:
+                row = [field.sub(x, field.mul(c, y)) for x, y in zip(row, k_row)]
+        return row
+
     r = bases.shape[1]
     return np.array(
-        [rref(field, basis + list(kernel.basis))[1] == r + kernel.dim for basis in bases.tolist()],
-        dtype=bool,
+        [rref(field, map(cleared, basis))[1] == r for basis in bases.tolist()], dtype=bool
     )
 
 
@@ -469,8 +477,7 @@ def _search(ctx: _SearchContext, r: int):
 
 
 def ghw_prop1(field: Field, spec: ComplexSpec, r: int, *, max_enum=None):
-    """r-th generalized Hamming weight by exhaustive subspace search, on
-    one thread.
+    """r-th generalized Hamming weight by exhaustive subspace search.
 
     Returns (value, witness) where the witness is the first subspace in
     canonical order attaining the optimum among the r-dim subspaces of
@@ -481,31 +488,18 @@ def ghw_prop1(field: Field, spec: ComplexSpec, r: int, *, max_enum=None):
     return _search(_search_context(field, spec, max_enum), r)
 
 
-def hierarchy_prop1(
-    field: Field, spec: ComplexSpec, threads: int = 1, max_enum=None
-) -> WeightHierarchy:
-    """Full weight hierarchy by subspace search, one search per rank,
-    keeping each rank's witness.  Every cap of every rank is checked, and
-    the U-hat table and the side are built, before the first search
-    starts; the ranks then run on min(threads, CPUs, k) threads, each
-    rank a serial scan, so nothing is written to the context while they
-    run and the result is that of one thread."""
+def hierarchy_prop1(field: Field, spec: ComplexSpec, *, max_enum=None) -> WeightHierarchy:
+    """Full weight hierarchy by subspace search, one search per rank in
+    turn, keeping each rank's witness.  Every cap of every rank is
+    checked, and the U-hat table and the side are built, before the first
+    search starts."""
     ctx = _search_context(field, spec, max_enum)
     ranks = range(1, ctx.k + 1)
     for r in ranks:
         subspace_count(ctx.field.q, ctx.k, r, ctx.max_enum)
     for character_sum in {_takes_character_sum(ctx, r) for r in ranks}:
         _build(ctx, character_sum)
-    workers = min(threads, ctx.k, os.cpu_count() or 1) if threads > 1 else 1
-    if workers > 1:
-        # imported here: concurrent.futures loads logging, which only
-        # threaded runs need
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            found = list(pool.map(lambda r: _search(ctx, r), ranks))
-    else:
-        found = [_search(ctx, r) for r in ranks]
+    found = [_search(ctx, r) for r in ranks]
     values = check_hierarchy_bounds(ctx.field.q, ctx.n, ctx.k, tuple(value for value, _ in found))
     return WeightHierarchy(
         spec=spec,

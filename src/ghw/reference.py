@@ -115,7 +115,7 @@ def _check_membership(case: ReferenceCase, max_enum) -> dict:
     }
 
 
-def _check_hierarchy(case: ReferenceCase, threads: int, max_enum) -> dict:
+def _check_hierarchy(case: ReferenceCase, max_enum) -> dict:
     spec = normalize(case.m, case.sets, case.complement)
     field = field_new(case.q)
     result = {
@@ -137,7 +137,7 @@ def _check_hierarchy(case: ReferenceCase, threads: int, max_enum) -> dict:
             problems.append("closed form disagrees with the pinned hierarchy")
     except Exception as exc:  # a broken table must fail the case, not the run
         problems.append(f"closed form failed: {exc}")
-    searched = hierarchy_prop1(field, spec, threads=threads, max_enum=max_enum)
+    searched = hierarchy_prop1(field, spec, max_enum=max_enum)
     result["prop1"] = searched.values
     if searched.values != case.hierarchy:
         problems.append("subspace search disagrees with the pinned hierarchy")
@@ -160,7 +160,7 @@ _ROW_KEYS = (
 )
 
 
-def run_reference_checks(only: str = None, threads: int = 1, max_enum=None):
+def run_reference_checks(only: str = None, *, max_enum=None):
     """Run the pinned cases, optionally filtered by id substring.
 
     Returns one dict per executed case with the pinned and computed
@@ -177,7 +177,7 @@ def run_reference_checks(only: str = None, threads: int = 1, max_enum=None):
         if case.hierarchy is None:
             row.update(_check_membership(case, max_enum))
         else:
-            row.update(_check_hierarchy(case, threads, max_enum))
+            row.update(_check_hierarchy(case, max_enum))
         row["elapsed_ms"] = int(round((perf_counter() - start) * 1000))
         results.append(row)
     return results

@@ -694,15 +694,40 @@ def test_traced_verify_paper_reports_every_layer(monkeypatch, argv, line):
 
 
 def test_importing_the_cli_loads_no_thread_pool():
-    """concurrent.futures pulls in logging; only a threaded search needs
-    it, so it is imported there and not when the package loads."""
+    """The ranks are searched in turn, so neither importing the CLI nor a
+    request with --threads 8 loads concurrent.futures (which pulls in
+    logging) or starts a pool."""
     src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import sys\n"
+        "from ghw.cli import main\n"
+        "argv = ['hierarchy', '--q', '2', '--m', '5', '--sets', '1,2,3;3,4,5', '--threads', '8']\n"
+        "assert main(argv) == 0\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, ghw.cli; print('concurrent.futures' in sys.modules)"],
+        [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         timeout=120,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("output", [["--format", "json"], ["--verbose"]], ids=["json", "verbose"])
+def test_thread_count_leaves_the_output_unchanged(capsys, output):
+    """--threads is accepted and validated, and nothing else: 1, 2 and 8
+    give byte-identical stdout, witnesses included, once elapsed_ms is
+    masked, on a zero kernel over GF(4) and a q = 2 kernel spec."""
+    for argv in (
+        ["hierarchy", "--q", "4", "--m", "4", "--sets", "1,2;2,3,4"],
+        ["hierarchy", "--method", "brute", "--q", "2", "--m", "7", "--sets", "1,2,3;3,4,5"],
+    ):
+        outs = []
+        for threads in ("1", "2", "8"):
+            assert cli.main(argv + output + ["--threads", threads]) == 0
+            outs.append(re.sub(r'elapsed_ms"?: \d+', "elapsed_ms: _", capsys.readouterr().out))
+        assert outs[0] == outs[1] == outs[2]
+        assert "elapsed_ms: _" in outs[0]

@@ -1,11 +1,7 @@
-import concurrent.futures
 import gc
 import hashlib
 import math
-import os
 import random
-import sys
-import threading
 import tracemalloc
 from collections import Counter
 from itertools import combinations, product
@@ -13,6 +9,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from ghw import cli
 from ghw.code import (
     BoundViolation,
     WeightHierarchy,
@@ -38,11 +35,13 @@ from ghw.linalg import (
     codes_to_matrix,
     enumerate_subspaces,
     gaussian_binomial,
+    rref,
     span_vectors,
     subspace_bases_array,
     subspace_from_vectors,
 )
 from ghw.oracle import ghw_definitional, hierarchy_definitional
+from ghw.reference import run_reference_checks
 from ghw.simplicial import cardinality, k_space, member_codes, normalize, union_terms
 
 F2 = field_new(2)
@@ -224,6 +223,39 @@ def test_extension_field_witnesses_are_pinned():
     assert digest.hexdigest() == _EXTENSION_WITNESS_SHA256
 
 
+# the cells of the exhaustive sweeps: (field (p, e), m, most generators)
+_SWEEP_CELLS = (
+    ((2, 1), 4, 4), ((2, 1), 5, 3), ((2, 1), 6, 2),
+    ((3, 1), 4, 3), ((2, 2), 3, 3), ((5, 1), 3, 3),
+)
+
+
+def _sweep(cells, nonzero_kernel, digest):
+    """Every antichain of each cell, both flags, no sampling, keeping the
+    specs whose kernel is nonzero or those whose kernel is zero: the
+    search equals the definitional oracle on each, and so does every
+    closed form that claims one.  Hashes (q, m, sets, complement, values)
+    of each into ``digest``; returns (specs walked, specs claimed)."""
+    records = claimed = 0
+    for (p, e), m, most in cells:
+        field = field_new(p, e)
+        for family in _antichains(m, most):
+            for complement in (False, True):
+                spec = normalize(m, [list(s) for s in family], complement)
+                if spec.empty or bool(k_space(spec, field).dim) != nonzero_kernel:
+                    continue
+                values = hierarchy_prop1(field, spec).values
+                assert values == hierarchy_definitional(build_code(field, spec)).values, spec
+                try:
+                    assert hierarchy_formula(field.q, spec).values == values, spec
+                    claimed += 1
+                except NotApplicable:
+                    pass
+                digest.update(repr((field.q, m, spec.sets, complement, values)).encode())
+                records += 1
+    return records, claimed
+
+
 # sha256 of the (q, m, sets, complement, values) records below
 _KERNEL_SWEEP_SHA256 = "5996ce1a2988daf5e9e5db1542e145e89c1b90f6b2454a5362222095a8eae6e5"
 
@@ -236,27 +268,27 @@ def test_every_small_kernel_spec_agrees_with_the_subcode_enumeration():
     form that claims one (none does today: the tables need a covering
     union, or a complement with K = 0)."""
     digest = hashlib.sha256()
-    records = 0
-    for (p, e), m, most in (
-        ((2, 1), 4, 4), ((2, 1), 5, 3), ((2, 1), 6, 2),
-        ((3, 1), 4, 3), ((2, 2), 3, 3), ((5, 1), 3, 3),
-    ):
-        field = field_new(p, e)
-        for family in _antichains(m, most):
-            for complement in (False, True):
-                spec = normalize(m, [list(s) for s in family], complement)
-                if spec.empty or k_space(spec, field).dim == 0:
-                    continue
-                values = hierarchy_prop1(field, spec).values
-                assert values == hierarchy_definitional(build_code(field, spec)).values, spec
-                try:
-                    assert hierarchy_formula(field.q, spec).values == values, spec
-                except NotApplicable:
-                    pass
-                digest.update(repr((field.q, m, spec.sets, complement, values)).encode())
-                records += 1
-    assert records == 1851
+    assert _sweep(_SWEEP_CELLS, True, digest) == (1851, 0)
     assert digest.hexdigest() == _KERNEL_SWEEP_SHA256
+
+
+# sha256 of the (q, m, sets, complement, values) records below
+_ZERO_KERNEL_SWEEP_SHA256 = "9ca65375504c1b08f54581f448408e006697b9af3e391d1b1e44fb42f7e69c95"
+
+
+def test_every_small_zero_kernel_spec_agrees_three_ways():
+    """The other half of the cells above: every antichain whose spec has
+    a zero kernel, both flags, no sampling.  The closed forms claim 3,319
+    of its 4,441 specs; on each of those the table, the search and the
+    definitional oracle agree, and on the rest the search and the oracle
+    do.  Then the same at m=3 (at most three generators) over q=7, GF(8)
+    and GF(9), an extension field of odd characteristic: 78 specs, 75 of
+    them claimed."""
+    digest = hashlib.sha256()
+    assert _sweep(_SWEEP_CELLS, False, digest) == (4441, 3319)
+    wider = (((7, 1), 3, 3), ((2, 3), 3, 3), ((3, 2), 3, 3))
+    assert _sweep(wider, False, digest) == (78, 75)
+    assert digest.hexdigest() == _ZERO_KERNEL_SWEEP_SHA256
 
 
 def test_witness_attains_the_weight():
@@ -274,24 +306,26 @@ def test_witness_attains_the_weight():
         assert code.n - hits == value
 
 
-def test_search_is_thread_count_independent(monkeypatch):
-    """Threads take whole ranks, each a serial scan: one, two and eight
-    threads give the same hierarchy and witnesses, and so does the search
-    of each rank alone."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+def test_search_is_thread_count_independent():
+    """The hierarchy takes no thread count: it is the search of each rank
+    alone, run in turn, values and witnesses both."""
     spec = normalize(5, [[1, 2, 3], [3, 4, 5]], False)
-    serial, *threaded = (hierarchy_prop1(F2, spec, threads=t) for t in (1, 2, 8))
-    for h in threaded:
-        assert h == serial and h.witnesses == serial.witnesses
+    serial = hierarchy_prop1(F2, spec)
     for r in range(1, serial.k + 1):
         assert ghw_prop1(F2, spec, r) == (serial.values[r - 1], serial.witnesses[r - 1])
 
 
 def test_one_rank_takes_no_thread_count():
-    """``max_enum`` is keyword-only, so a fourth positional argument, such
-    as a thread count, fails instead of becoming a cap."""
+    """``max_enum`` is keyword-only, so an extra positional argument, such
+    as an old thread count, fails instead of becoming a cap, for one rank,
+    for the hierarchy and for the reference suite."""
+    spec = normalize(5, [[1, 2, 3], [3, 4, 5]], False)
     with pytest.raises(TypeError):
-        ghw_prop1(F2, normalize(5, [[1, 2, 3], [3, 4, 5]], False), 1, 4)
+        ghw_prop1(F2, spec, 1, 4)
+    with pytest.raises(TypeError):
+        hierarchy_prop1(F2, spec, 2)
+    with pytest.raises(TypeError):
+        run_reference_checks("thm2", 2)
 
 
 def test_search_respects_cap():
@@ -300,22 +334,24 @@ def test_search_respects_cap():
         ghw_prop1(F2, spec, 2, max_enum=50)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_every_cap_is_checked_before_anything_is_allocated(monkeypatch, threads):
+@pytest.mark.parametrize("calls", [1, 2])
+def test_every_cap_is_checked_before_anything_is_allocated(monkeypatch, calls):
     """q=3 m=3 `1,2;3` takes the character sum at rank 1 and the member
     product at rank 2, whose side's 33 F_p entries are over a cap of 20
     (every G(3, r) is under it).  The refusal comes before the U-hat
-    table is built, the side is listed or any chunk is scored."""
+    table is built, the side is listed or any chunk is scored, and a
+    refused call leaves nothing half built: a second call is refused the
+    same way."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("allocated before every cap was checked")
 
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     for name in ("_support_table", "member_codes", "_orthogonal_counts"):
         monkeypatch.setattr(f"ghw.code.{name}", refuse)
     spec = normalize(3, [[1, 2], [3]], False)
-    with pytest.raises(ResourceCapError, match="refusing to enumerate 33 F_p entries of the scanned side"):
-        hierarchy_prop1(F3, spec, threads=threads, max_enum=20)
+    for _ in range(calls):
+        with pytest.raises(ResourceCapError, match="refusing to enumerate 33 F_p entries of the scanned side"):
+            hierarchy_prop1(F3, spec, max_enum=20)
 
 
 def test_hierarchy_refuses_an_oversized_rank_before_searching(monkeypatch):
@@ -394,6 +430,64 @@ def test_valid_mask_matches_a_rank_check(field):
                 assert _valid_mask(field, bases, kernel).tolist() == want, (m, kernel, r)
 
 
+@pytest.mark.parametrize(
+    "field",
+    [F2, F3, F4, field_new(5), field_new(3, 2)],
+    ids=["q2", "q3", "q4", "q5", "q9"],
+)
+def test_valid_mask_matches_the_stacked_rank_definition(field):
+    """Random batches of r x m matrices, independent or not, against
+    random kernels from ``subspace_from_vectors`` (and, at q = 2, the
+    kernels of complements, even-weight vectors on I): the mask holds
+    exactly where the rows stacked on all of K's basis have rank
+    r + dim K, the definition the mask reduces to r rows."""
+    rng = random.Random(field.q)
+    kernels = []
+    for _ in range(40):
+        m = rng.randint(2, 7)
+        vectors = [[rng.randrange(field.q) for _ in range(m)] for _ in range(rng.randint(1, m - 1))]
+        kernels.append(subspace_from_vectors(field, vectors, m))
+    if field.q == 2:
+        for m in range(3, 7):
+            gens = [[j for j in range(1, m + 1) if j != i] for i in range(1, m + 1)]
+            for count in range(2, m + 1):
+                kernels.append(k_space(normalize(m, gens[:count], True), field))
+    batches = 0
+    for kernel in kernels:
+        if not kernel.dim:
+            continue
+        m = kernel.ambient
+        for _ in range(6):
+            r = rng.randint(1, m - kernel.dim)
+            bases = np.array(
+                [[[rng.randrange(field.q) for _ in range(m)] for _ in range(r)] for _ in range(8)],
+                dtype=np.int64,
+            )
+            want = [
+                rref(field, basis + list(kernel.basis))[1] == r + kernel.dim for basis in bases.tolist()
+            ]
+            assert _valid_mask(field, bases, kernel).tolist() == want, (kernel, bases)
+            batches += 1
+    assert batches >= 150
+
+
+def test_valid_mask_reduces_only_the_witness_rows(monkeypatch, capsys):
+    """`params --q 2 --m 1600 --sets 1,2` has a 1,598-dim coordinate
+    kernel; the rank-1 witness check row-reduces its one cleared row and
+    never the witness stacked on K's basis."""
+    seen = []
+
+    def counting(field, rows):
+        rows = [list(row) for row in rows]
+        seen.append(len(rows))
+        return rref(field, rows)
+
+    monkeypatch.setattr("ghw.code.rref", counting)
+    assert cli.main(["params", "--q", "2", "--m", "1600", "--sets", "1,2"]) == 0
+    assert capsys.readouterr().out.startswith("[4, 2, 2] code over GF(2), <1,2> in F^1600")
+    assert seen == [1]
+
+
 def test_the_search_context_resolves_the_cap_once(monkeypatch):
     """The context holds the resolved cap, so its ranks' cap checks read
     no GHW_MAX_ENUM; a malformed value still fails the next context."""
@@ -428,31 +522,6 @@ def test_rank_bounds_are_enforced():
         ghw_prop1(F2, spec, 3)
     with pytest.raises(ValueError):
         ghw_prop1(F2, spec, 0)
-
-
-def test_threaded_ranks_score_the_serial_chunks(monkeypatch):
-    """Each rank is one serial scan on whichever thread takes it, so with
-    two threads every rank scores exactly the chunks it scores alone,
-    none past its early exit, and the result is the serial one."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    spec = normalize(8, [[1, 2, 3, 4], [4, 5, 6, 7, 8]], False)
-
-    def run(threads):
-        chunks = Counter()  # chunks scored per rank
-
-        def counting(field, bases, *args, **kwargs):
-            chunks[bases.shape[1]] += 1
-            return _orthogonal_counts(field, bases, *args, **kwargs)
-
-        with monkeypatch.context() as patch:
-            patch.setattr("ghw.code._orthogonal_counts", counting)
-            return hierarchy_prop1(F2, spec, threads=threads), chunks
-
-    serial, serial_chunks = run(1)
-    threaded, threaded_chunks = run(2)
-    assert threaded.values == serial.values
-    assert threaded.witnesses == serial.witnesses
-    assert threaded_chunks == serial_chunks
 
 
 def test_search_memory_is_bounded_by_the_chunk():
@@ -537,67 +606,6 @@ def test_early_exit_rows_are_pinned(monkeypatch, field, m, sets, complement, gen
     assert [kept[r] for r in sorted(kept)] == scored
 
 
-def _pool_and_searchers(monkeypatch, cpus, threads, spec):
-    """The hierarchy, the worker counts of the pools started and the
-    threads that ran ``_search``, with ``cpus`` CPUs."""
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    pools, idents = [], set()
-
-    class Pool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
-
-    def searching(ctx, r):
-        idents.add(threading.get_ident())
-        return _search(ctx, r)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
-    monkeypatch.setattr("ghw.code._search", searching)
-    return hierarchy_prop1(F2, spec, threads=threads), pools, idents
-
-
-def test_threads_are_clamped_to_the_cpus(monkeypatch):
-    """A thread takes whole ranks, so no more than min(threads, CPUs)
-    threads start and run ``_search`` on the 8 ranks of q=2 m=8
-    `1,2,3;3,4,5;5,6,7,8`, whatever --threads asks for."""
-    spec = normalize(8, [[1, 2, 3], [3, 4, 5], [5, 6, 7, 8]], False)
-    for cpus, threads in ((2, 8), (8, 3)):
-        with monkeypatch.context() as patch:
-            h, pools, idents = _pool_and_searchers(patch, cpus, threads, spec)
-        assert h.values == (4, 6, 10, 12, 20, 24, 26, 27)
-        assert pools == [min(cpus, threads)]
-        assert 1 <= len(idents) <= min(cpus, threads), idents
-
-
-def test_threads_are_clamped_to_the_ranks(monkeypatch):
-    """Three ranks keep at most three of eight threads busy, so only
-    three start."""
-    h, pools, idents = _pool_and_searchers(monkeypatch, 8, 8, normalize(3, [[1, 2], [2, 3]], False))
-    assert h.values == (2, 4, 5)
-    assert pools == [3]
-    assert 1 <= len(idents) <= 3, idents
-
-
-def test_one_cpu_takes_the_serial_path(monkeypatch):
-    """The thread count is clamped before the path is chosen, so on one CPU
-    --threads 4 searches the ranks in turn and starts no pool; --threads 1
-    never asks for the CPU count."""
-    spec = normalize(5, [[1, 2, 3], [3, 4, 5]], False)
-    serial = hierarchy_prop1(F2, spec)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("unexpected call")
-
-    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", refuse)
-    monkeypatch.setattr(os, "cpu_count", refuse)
-    assert hierarchy_prop1(F2, spec, threads=1) == serial
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    clamped = hierarchy_prop1(F2, spec, threads=4)
-    assert clamped == serial
-    assert clamped.witnesses == serial.witnesses
-
-
 def test_search_chunks_are_sized_by_bytes():
     """Over GF(65521) at m = 2 the scanned side has 131,041 vectors, so a
     4096-row chunk would hold 4 GiB of products; chunks sized by bytes keep
@@ -679,16 +687,11 @@ def test_rank_k_past_63_bits_keeps_the_product():
     assert value == 2**64 - 4
 
 
-def test_two_threads_match_the_serial_search_across_both_methods(monkeypatch):
+def test_two_threads_match_the_serial_search_across_both_methods():
     """q=2 m=9 `1,2,3,4,5;5,6,7,8,9` scores ranks 1-5 by the character sum
-    and ranks 6-9 by the member product; two threads give the serial
-    values and witnesses."""
+    and ranks 6-9 by the member product, in turn; its values are pinned."""
     spec = normalize(9, [[1, 2, 3, 4, 5], [5, 6, 7, 8, 9]], False)
-    serial = hierarchy_prop1(F2, spec)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    threaded = hierarchy_prop1(F2, spec, threads=2)
-    assert serial.values == (16, 24, 28, 30, 46, 54, 58, 60, 61)
-    assert threaded == serial and threaded.witnesses == serial.witnesses
+    assert hierarchy_prop1(F2, spec).values == (16, 24, 28, 30, 46, 54, 58, 60, 61)
 
 
 # ---- one basis per column orbit -----------------------------------------
@@ -953,9 +956,7 @@ def test_character_sum_refuses_a_table_past_the_chunk_bytes():
 def test_support_table_is_built_once_and_only_when_used(monkeypatch):
     """No rank of q=2 m=5 `1,2;3,4` takes the character sum, so no table
     is built; q=2 m=7 `1,2,3,4;4,5,6,7` takes it at ranks 1-4 and builds
-    its table once, before any rank starts, also with eight threads
-    searching ranks (with a short switch interval), and gives the serial
-    result."""
+    its table once, before any rank starts."""
     built = []
 
     def counting(q, m, terms):
@@ -966,17 +967,8 @@ def test_support_table_is_built_once_and_only_when_used(monkeypatch):
     hierarchy_prop1(F2, normalize(5, [[1, 2], [3, 4]], False))
     assert built == []
     spec = normalize(7, [[1, 2, 3, 4], [4, 5, 6, 7]], False)
-    serial = hierarchy_prop1(F2, spec)
+    hierarchy_prop1(F2, spec)
     assert built == [(2, 7)]
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = hierarchy_prop1(F2, spec, threads=8)
-    finally:
-        sys.setswitchinterval(interval)
-    assert built == [(2, 7), (2, 7)]
-    assert threaded == serial and threaded.witnesses == serial.witnesses
 
 
 # ---- theorem checks on every hierarchy ----------------------------------
