@@ -101,7 +101,20 @@ however large the scanned side.  A chunk reduces
 to its best value and a copy of its first optimal basis, so nothing of
 the rank outlives the scan, and the scan stops at the first chunk that
 reaches the bound.  ``hierarchy_prop1`` runs this scan for each rank in
-turn.
+turn, rank 1 first.
+
+Every linear code has d_r >= sum_{i<r} ceil(d_1 / q^i), the generalized
+Griesmer bound (Helleseth, Kloeve and Ytrehus, IEEE Trans. IT 38, 1992),
+so the best count of rank r is at most n minus that sum.  Given d_1,
+``_search`` stops at the first chunk reaching the smaller of the two
+bounds; ``hierarchy_prop1`` passes rank 1's d_1 to ranks 2..k, and each
+reads nothing else, so the ranks stay independent of one another.  One
+rank searched alone (``ghw_prop1``, ``params``) keeps only q^(k-r).
+Either stop is an upper bound on the best count, so a chunk reaching it
+attains the optimum and every earlier chunk falls short of it: the first
+optimal H in canonical order lies in that chunk, and values and
+witnesses are those of the full scan.  A chunk scoring above the bound
+is a fault, and the search raises ``RuntimeError`` rather than clamp it.
 
 Over q > 2 only one basis per column orbit of each chunk is built and
 scored.  D read at C is a union of coordinate subspaces of F^k or its
@@ -437,9 +450,11 @@ def _build(ctx: _SearchContext, character_sum: bool) -> None:
         ctx.small = codes_to_matrix(member_codes(ctx.side, q, ctx.max_enum), q, k)
 
 
-def _search(ctx: _SearchContext, r: int):
+def _search(ctx: _SearchContext, r: int, *, d1=None):
     """d_r and its witness: (n - max |D meet H-perp| over the r-dim H inside
-    F^C, the first such H in canonical order attaining the max)."""
+    F^C, the first such H in canonical order attaining the max).  Given
+    the code's d_1, the scan also stops at the generalized Griesmer bound
+    n - sum_{i<r} ceil(d_1 / q^i), and a chunk above it raises."""
     if not 1 <= r <= ctx.k:
         raise ValueError(f"r must lie in 1..{ctx.k}, got {r}")
     field, spec = ctx.field, ctx.spec
@@ -451,6 +466,8 @@ def _search(ctx: _SearchContext, r: int):
     per_h = q ** (k - r)
     # the zero vector lies in every H-perp and never in a complement
     bound = per_h - spec.complement
+    if d1 is not None:
+        bound = min(bound, ctx.n - sum(-(-d1 // q**i) for i in range(r)))
     # per row: scoring's product and digit
     step = chunk_rows(8 * min(field.e, 2) * r * ctx.side_size)
     # the member product counts the side and the character sum counts U;
@@ -467,6 +484,10 @@ def _search(ctx: _SearchContext, r: int):
         pos = int(np.argmax(inside))
         if best is None or inside[pos] > best:
             best, witness = int(inside[pos]), chunk[pos].copy()
+            if best > bound:
+                raise RuntimeError(
+                    f"rank {r} of {spec.describe()} scored {best}, above the bound {bound}"
+                )
             if best == bound:
                 break
     embedded = np.zeros((r, spec.m), dtype=np.int64)
@@ -490,16 +511,18 @@ def ghw_prop1(field: Field, spec: ComplexSpec, r: int, *, max_enum=None):
 
 def hierarchy_prop1(field: Field, spec: ComplexSpec, *, max_enum=None) -> WeightHierarchy:
     """Full weight hierarchy by subspace search, one search per rank in
-    turn, keeping each rank's witness.  Every cap of every rank is
-    checked, and the U-hat table and the side are built, before the first
-    search starts."""
+    turn, keeping each rank's witness: rank 1 first, then each higher rank
+    stopped also at the Griesmer bound from d_1.  Every cap of every rank
+    is checked, and the U-hat table and the side are built, before the
+    first search starts."""
     ctx = _search_context(field, spec, max_enum)
     ranks = range(1, ctx.k + 1)
     for r in ranks:
         subspace_count(ctx.field.q, ctx.k, r, ctx.max_enum)
     for character_sum in {_takes_character_sum(ctx, r) for r in ranks}:
         _build(ctx, character_sum)
-    found = [_search(ctx, r) for r in ranks]
+    found = [_search(ctx, 1)]
+    found += [_search(ctx, r, d1=found[0][0]) for r in ranks[1:]]
     values = check_hierarchy_bounds(ctx.field.q, ctx.n, ctx.k, tuple(value for value, _ in found))
     return WeightHierarchy(
         spec=spec,

@@ -375,7 +375,8 @@ def subspace_bases_array(q: int, m: int, r: int, start: int, stop: int, orbits=F
             _unrank_representatives(q, free, firsts[block + 1] - first, codes, rows)
         else:
             for idx, (i, j) in enumerate(free):
-                rows[:, i, j] = (codes // q ** (len(free) - 1 - idx)) % q
+                x = len(free) - 1 - idx
+                rows[:, i, j] = (codes >> x) & 1 if q == 2 else (codes // q**x) % q
         pos = end
         block += 1
     out.setflags(write=False)

@@ -240,7 +240,8 @@ def restrict(spec: ComplexSpec, kernel: Subspace):
     is the complement of the union of F^(C - {t}) and of F^(S meet C) for
     each generator S containing I; C - {t} is empty when C = {t}, so this
     is built by ``normalize_sets``, which ``normalize`` would refuse."""
-    columns = tuple(j for j in range(spec.m) if j not in kernel.pivots)
+    pivots = set(kernel.pivots)
+    columns = tuple(j for j in range(spec.m) if j not in pivots)
     if not kernel.dim:
         return columns, spec
     label = {j + 1: i for i, j in enumerate(columns, start=1)}

@@ -310,8 +310,8 @@ def test_count_subspaces_estimates_the_method_the_search_picks(capsys):
 def test_count_subspaces_counts_the_orbit_representatives_at_q3(capsys):
     """Over q > 2 the search scores one basis per column orbit, so the
     estimate multiplies the representatives, 6,468 of the 99,463 planes
-    of F_3^7 (the rank-2 rows test_early_exit_rows_are_pinned scores), by
-    the character sum's q^r m; the count stays G(m, r)."""
+    of F_3^7 (the rank-2 rows of a full scan; a hierarchy stops at 500),
+    by the character sum's q^r m; the count stays G(m, r)."""
     argv = ["count-subspaces", "--q", "3", "--m", "7", "--sets", "1,2,3;3,4,5;5,6,7"]
     assert cli.main(argv + ["--r", "2", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

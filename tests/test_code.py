@@ -291,6 +291,29 @@ def test_every_small_zero_kernel_spec_agrees_three_ways():
     assert digest.hexdigest() == _ZERO_KERNEL_SWEEP_SHA256
 
 
+# the q=3 m=5 cell, at most two generators: (field (p, e), m, most generators)
+_Q3M5_CELL = (((3, 1), 5, 2),)
+
+
+@pytest.mark.parametrize(
+    "nonzero_kernel, walked, digest",
+    [
+        (True, (225, 0), "6e404b8ff4d206df08353f17d42c6ed9460e33024ee7777e2316f7dcf2d81776"),
+        (False, (406, 406), "f96ad1a891d661a777a827c9a363144e4e17979784fea397f43f466b3b812bd0"),
+    ],
+    ids=["kernel", "zero-kernel"],
+)
+def test_every_q3m5_spec_agrees_with_the_subcode_enumeration(nonzero_kernel, walked, digest):
+    """Every antichain of at most two generators in F_3^5, both flags, no
+    sampling, each kernel kind hashed on its own: 225 unions that miss a
+    coordinate (K is zero for every complement at q = 3), and 406 specs
+    with K = 0, every one claimed by a closed form.  Each hierarchy runs
+    ranks 2..k against the Griesmer bound from d_1."""
+    hashed = hashlib.sha256()
+    assert _sweep(_Q3M5_CELL, nonzero_kernel, hashed) == walked
+    assert hashed.hexdigest() == digest
+
+
 def test_witness_attains_the_weight():
     spec = normalize(4, [[1, 2], [2, 3, 4]], False)
     code = build_code(F2, spec)
@@ -553,38 +576,34 @@ def _scoring_calls(monkeypatch, record):
     monkeypatch.setattr("ghw.code._orthogonal_counts", counting)
 
 
+# the pinned early-exit cases below: (field, m, sets, complement)
+_EARLY_EXIT_SPECS = {
+    "q3m7-complement": (F3, 7, [[1, 2, 3], [4, 5, 6]], True),
+    "q2m8": (F2, 8, [[1, 2, 3, 4], [4, 5, 6, 7, 8]], False),
+    "q2m10-kernel": (F2, 10, [[1, 2, 3, 4], [4, 5, 6, 7, 8]], False),
+    "q2m8-kernel": (F2, 8, [[1, 2, 3], [3, 4, 5]], False),
+    "q2m7-complement-kernel": (F2, 7, [[2, 3, 4, 5, 6, 7], [1, 3, 4, 5, 6, 7], [1, 2, 4, 5, 6, 7]], True),
+    "both-q2m9": (F2, 9, [[1, 2, 3, 4, 5], [5, 6, 7, 8, 9]], False),
+}
+
+
 @pytest.mark.parametrize(
-    "field, m, sets, complement, generated, scored",
+    "case, generated, scored",
     [
+        ("q3m7-complement", [1093, 4096, 20480, 4096, 4096, 1093, 1], [127, 500, 1966, 980, 1681, 550, 1]),
+        ("q2m8", [255, 4096, 4096, 4096, 4096, 4096, 255, 1], [255, 4096, 4096, 4096, 4096, 4096, 255, 1]),
+        ("q2m10-kernel", [255, 4096, 4096, 4096, 4096, 4096, 255, 1], [255, 4096, 4096, 4096, 4096, 4096, 255, 1]),
+        ("q2m8-kernel", [31, 155, 155, 31, 1], [31, 155, 155, 31, 1]),
+        ("q2m7-complement-kernel", [31, 155, 155, 31, 1], [31, 155, 155, 31, 1]),
         (
-            F3, 7, [[1, 2, 3], [4, 5, 6]], True,
-            [1093, 99463, 20480, 4096, 4096, 1093, 1],
-            [127, 6468, 1966, 980, 1681, 550, 1],
-        ),
-        (
-            F2, 8, [[1, 2, 3, 4], [4, 5, 6, 7, 8]], False,
-            [255, 10795, 4096, 4096, 4096, 4096, 255, 1],
-            [255, 10795, 4096, 4096, 4096, 4096, 255, 1],
-        ),
-        (
-            F2, 10, [[1, 2, 3, 4], [4, 5, 6, 7, 8]], False,
-            [255, 10795, 4096, 4096, 4096, 4096, 255, 1],
-            [255, 10795, 4096, 4096, 4096, 4096, 255, 1],
-        ),
-        (
-            F2, 8, [[1, 2, 3], [3, 4, 5]], False,
-            [31, 155, 155, 31, 1],
-            [31, 155, 155, 31, 1],
-        ),
-        (
-            F2, 7, [[2, 3, 4, 5, 6, 7], [1, 3, 4, 5, 6, 7], [1, 2, 4, 5, 6, 7]], True,
-            [31, 155, 155, 31, 1],
-            [31, 155, 155, 31, 1],
+            "both-q2m9",
+            [511, 4096, 4096, 4096, 4096, 4096, 4096, 511, 1],
+            [511, 4096, 4096, 4096, 4096, 4096, 4096, 511, 1],
         ),
     ],
-    ids=["q3m7-complement", "q2m8", "q2m10-kernel", "q2m8-kernel", "q2m7-complement-kernel"],
+    ids=list(_EARLY_EXIT_SPECS),
 )
-def test_early_exit_rows_are_pinned(monkeypatch, field, m, sets, complement, generated, scored):
+def test_early_exit_rows_are_pinned(monkeypatch, case, generated, scored):
     """Rows generated and rows scored per rank before the early exit; over
     q > 2 only the orbit representatives of each chunk are scored.  A
     complement bound off by one leaves every weight unchanged but scans
@@ -592,7 +611,11 @@ def test_early_exit_rows_are_pinned(monkeypatch, field, m, sets, complement, gen
     walked, and the bound is q^(k-r): q2m10-kernel is q2m8 on F^10 and
     stops where q2m8 does, which a bound of q^(m-r) never would.  The
     kernels of q2m8-kernel (dim 3) and q2m7-complement-kernel (dim 2,
-    three generators [7] - {i}) leave G(5, r) bases per rank."""
+    three generators [7] - {i}) leave G(5, r) bases per rank.  From rank 2
+    on the Griesmer bound from d_1 stops rank 2 of q3m7-complement, q2m8
+    and q2m10-kernel in their first chunk, and ranks 2 and 3 of both-q2m9:
+    it scores 25,599 rows, where the bound q^(k-r) alone scores 848,877."""
+    field, m, sets, complement = _EARLY_EXIT_SPECS[case]
     made, kept = Counter(), Counter()
 
     def generating(q, m, r, start, stop, orbits=False):
@@ -604,6 +627,53 @@ def test_early_exit_rows_are_pinned(monkeypatch, field, m, sets, complement, gen
     hierarchy_prop1(field, normalize(m, sets, complement))
     assert [made[r] for r in sorted(made)] == generated
     assert [kept[r] for r in sorted(kept)] == scored
+
+
+# the search specs of the cold CLI requests not pinned above
+_CLI_SEARCH_SPECS = {
+    "both-q3m7": (F3, 7, [[1, 2, 3], [3, 4, 5], [5, 6, 7]], False),
+    "both-gf4m6": (F4, 6, [[1, 2, 3], [4, 5, 6]], False),
+    "both-q3m7-compl": (F3, 7, [[1, 2, 3], [4, 5, 6]], True),
+    "verbose-q2m7": (F2, 7, [[1, 2, 3], [1, 2, 4, 5], [3, 4, 6, 7]], False),
+    "params-search": (F2, 8, [[1, 2, 3], [3, 4, 5], [5, 6, 7], [1, 7, 8]], False),
+}
+
+
+@pytest.mark.parametrize("case", [*_EARLY_EXIT_SPECS, *_CLI_SEARCH_SPECS])
+def test_the_griesmer_stop_never_moves_a_witness(case):
+    """The hierarchy stops ranks 2..k at the Griesmer bound from d_1 as well;
+    one rank searched alone keeps only the bound q^(k-r).  Both bounds are
+    theorems, so the first chunk to reach either holds the canonical-first
+    optimum: every value and witness is the same."""
+    field, m, sets, complement = {**_EARLY_EXIT_SPECS, **_CLI_SEARCH_SPECS}[case]
+    spec = normalize(m, sets, complement)
+    h = hierarchy_prop1(field, spec)
+    for r in range(1, h.k + 1):
+        value, witness = ghw_prop1(field, spec, r)
+        assert h.values[r - 1] == value
+        assert h.witnesses[r - 1] == witness, r
+
+
+def test_a_chunk_above_the_griesmer_bound_raises(monkeypatch):
+    """A rank-2 count above n - d_1 - ceil(d_1 / q), yet within q^(k-2),
+    is a fault of the scoring: the search raises and returns no value,
+    clamped or not."""
+    spec = normalize(8, [[1, 2, 3, 4], [4, 5, 6, 7, 8]], False)  # the union side, counted as is
+    h = hierarchy_prop1(F2, spec)
+    d1 = h.values[0]
+    above = h.n - d1 - math.ceil(d1 / 2) + 1
+    assert above <= 2 ** (h.k - 2)
+
+    def scoring(field, bases, vectors, *args):
+        counts = _orthogonal_counts(field, bases, vectors, *args)
+        if bases.shape[1] == 2:
+            counts = counts.copy()
+            counts[-1] = above
+        return counts
+
+    monkeypatch.setattr("ghw.code._orthogonal_counts", scoring)
+    with pytest.raises(RuntimeError, match=f"rank 2 of .* scored {above}, above the bound {above - 1}"):
+        hierarchy_prop1(F2, spec)
 
 
 def test_search_chunks_are_sized_by_bytes():

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -187,6 +188,25 @@ def test_bases_array_bytes_are_pinned():
     assert digest.hexdigest() == (
         "66ec44419de34184e491170a6ac52cf929e06d933d96f1caf0272503c49bb4b3"
     )
+
+
+def test_bases_array_at_q2_counts_its_free_cells_in_binary():
+    """Every rank at q = 2, m <= 7: the free cells, filled by bit shifts,
+    hold the binary digits of each basis's number within its pivot set,
+    most significant first, as ``product`` lists them."""
+    for m in range(8):
+        for r in range(m + 1):
+            want = []
+            for pivots in combinations(range(m), r):
+                free = [(i, j) for i in range(r) for j in range(pivots[i] + 1, m) if j not in pivots]
+                for digits in product((0, 1), repeat=len(free)):
+                    basis = np.zeros((r, m), dtype=np.int64)
+                    basis[range(r), pivots] = 1
+                    for (i, j), x in zip(free, digits):
+                        basis[i, j] = x
+                    want.append(basis)
+            got = subspace_bases_array(2, m, r, 0, gaussian_binomial(m, r, 2))
+            assert np.array_equal(got, np.array(want)), (m, r)
 
 
 def test_bases_array_ranges_split_and_are_frozen():
