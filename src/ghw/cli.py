@@ -117,7 +117,7 @@ def cmd_params(args) -> int:
     except NotApplicable as exc:
         if args.verbose:
             print(f"note: no closed form ({exc.reason}); searching", file=sys.stderr)
-        ctx = _search_context(field, spec, args.max_enum)
+        ctx = _search_context(field, spec, args.max_enum, (1,))
         d1, _ = _search(ctx, 1)
         n, k = ctx.n, ctx.k
         method = "prop1-search"
@@ -231,7 +231,7 @@ def cmd_count(args) -> int:
             union_spec = normalize(args.m, parse_sets(args.sets), False)
         except ValueError as exc:
             raise CLIError(str(exc)) from exc
-        ctx = _search_context(field, union_spec)
+        ctx = _search_context(field, union_spec, ranks=())
     k = m if ctx is None else ctx.k  # the dimension the search spans
     ranks = [args.r] if args.r is not None else list(range(1, m + 1))
     rows = []
@@ -300,21 +300,20 @@ def _add_field_options(sub, need_sets=True):
         )
 
 
-_THREADS_HELP = (
-    "accepted and validated (at least 1) for compatibility; "
-    "ranks are searched in turn, so results are unchanged"
-)
-
-
 def _add_run_options(sub):
-    sub.add_argument("--threads", type=_positive, default=1, help=_THREADS_HELP)
+    sub.add_argument(
+        "--threads",
+        type=_positive,
+        default=1,
+        help="accepted and validated (at least 1) for compatibility; "
+        "ranks are searched in turn, so results are unchanged",
+    )
     sub.add_argument(
         "--max-enum",
         type=int,
         default=None,
         help=f"enumeration cap (overrides GHW_MAX_ENUM; default {DEFAULT_MAX_ENUM})",
     )
-    sub.add_argument("--verbose", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,12 +327,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("params", help="length, dimension, and minimum distance")
     _add_field_options(p)
     _add_run_options(p)
+    p.add_argument("--verbose", action="store_true")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_params)
 
     p = subs.add_parser("hierarchy", help="full weight hierarchy")
     _add_field_options(p)
     _add_run_options(p)
+    p.add_argument("--verbose", action="store_true")
     p.add_argument(
         "--method",
         choices=["formula", "brute", "both"],
@@ -348,8 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the built-in reference suite (pinned hierarchies, three methods)",
     )
     p.add_argument("--only", default=None, help="substring filter on case ids")
-    p.add_argument("--threads", type=_positive, default=1, help=_THREADS_HELP)
-    p.add_argument("--max-enum", type=int, default=None)
+    _add_run_options(p)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_verify_paper)
 

@@ -87,9 +87,8 @@ is the smaller, the table's 2^k x 8 bytes fit ``linalg._CHUNK_BYTES``,
 and q^r sum_T |c_T| q^|T|, which bounds every partial sum, is below
 2^63, so int64 holds the sum exactly.  It reads only the field, k, r,
 the side's size and the terms, so no option or run changes the pick.
-``_search`` makes the pick once per rank, and the table is built onto
-the search context, so the ranks of a request share it and it goes with
-the context.
+The search context makes the pick once per rank and builds the table
+once, so the ranks of a request share it and it goes with the context.
 The counts being identical, the chunk step, the orbit representatives,
 the cap checks and their order are untouched, and so are values,
 ``--verbose`` witnesses and the chunk where the early exit fires.
@@ -142,20 +141,27 @@ At q = 2 every basis is its own representative, so the search asks for
 plain ranges there, which the oracle's calls (``orbits=False``) share in
 ``subspace_bases_array``'s cache.
 
-A request builds one search context (``_search_context``) for all its
-ranks.  It resolves the cap once, refuses an empty D by
-``ComplexSpec.empty`` before any sizing, reads D at C once and walks the
-generators' ``union_terms`` of that spec once: |U|, n, the scanned
-side's spec and size and the U-hat table are read off those terms.  It
-lists no vector.  ``hierarchy_prop1`` checks every rank's G(k, r)
-against the cap, then the side's F_p entries for every rank that takes
-the member product, the only method that reads the side; then it builds
-the U-hat table if some rank takes the character sum and lists the side
-once (``member_codes``) if some rank takes the member product, all
-before the first search.  A search of one rank checks and builds the
-same for itself.  A request whose ranks all take the character sum lists
-nothing, and an oversized request is refused before anything of the
-side's size is allocated.  No vector of K is ever enumerated.
+A request builds one search context (``_search_context``) for the ranks
+it searches: all of 1..k for ``hierarchy_prop1``, r alone for
+``ghw_prop1``.  It decides everything the searches read, once and in
+this order, and is frozen once built:
+
+1. it resolves the cap, refuses an empty D by ``ComplexSpec.empty``
+   before any sizing, reads D at C and walks the generators'
+   ``union_terms`` of that spec: |U|, n and the scanned side's spec and
+   size are read off those terms;
+2. it validates each rank and checks its G(k, r) against the cap;
+3. it picks each rank's scoring method (``_uses_character_sum``);
+4. if some rank takes the member product, the only method that reads
+   the side, it checks the side's F_p entries against the cap;
+5. only then it lists the side once (``member_codes``) if some rank takes
+   the member product, and builds the U-hat table if some rank takes the
+   character sum.
+
+``_search`` then only scans.  A request whose ranks all take the
+character sum lists nothing, and an oversized request is refused before
+anything of the side's size is allocated.  No vector of K is ever
+enumerated.
 """
 
 from __future__ import annotations
@@ -172,6 +178,7 @@ from .linalg import (
     Subspace,
     chunk_rows,
     codes_to_matrix,
+    gaussian_binomial,
     rref,
     subspace_bases_array,
     subspace_count,
@@ -275,7 +282,7 @@ def check_hierarchy_bounds(q: int, n: int, k: int, values: tuple) -> tuple:
 # subspace search
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class _SearchContext:
     field: Field
     spec: ComplexSpec  # the request's spec, on F^m
@@ -286,9 +293,9 @@ class _SearchContext:
     side_size: int  # its number of vectors
     kernel: Subspace  # K, which every witness must meet only in zero
     terms: dict  # union_terms of U, the union of D read at C
-    max_enum: int  # the resolved cap
-    small: np.ndarray | None = None  # (side_size, k) matrix, once a rank needs it
-    table: np.ndarray | None = None  # _support_table, once a rank needs it
+    picks: dict  # {r: does rank r take the character sum}, per planned rank
+    small: np.ndarray | None  # (side_size, k) side, if a planned rank takes the member product
+    table: np.ndarray | None  # _support_table, if a planned rank takes the character sum
 
 
 def _words(vectors: np.ndarray) -> np.ndarray:
@@ -398,11 +405,11 @@ def _valid_mask(field: Field, bases: np.ndarray, kernel: Subspace) -> np.ndarray
     )
 
 
-def _search_context(field: Field, spec: ComplexSpec, max_enum=None) -> _SearchContext:
-    """Everything the ranks of one request share, with the cap resolved
-    once, D read at C once (``restrict``) and its generators'
-    ``union_terms`` walked once: |U|, n and the scanned side's spec and
-    size are read off those terms.  No vector is listed here."""
+def _search_context(field: Field, spec: ComplexSpec, max_enum=None, ranks=None) -> _SearchContext:
+    """Everything the ``ranks`` of one request read (all of 1..k by
+    default), decided once in the order the module docstring lists: no
+    cap is checked and nothing is built after it returns.  The member
+    product expands the side to |side| k e^2 F_p entries per chunk."""
     max_enum = resolve_max_enum(max_enum)
     if spec.empty:
         raise ValueError(f"defining set {spec.describe()} is empty")
@@ -414,6 +421,16 @@ def _search_context(field: Field, spec: ComplexSpec, max_enum=None) -> _SearchCo
     union = union_size(terms, q)
     # scan the smaller of U and its complement in F^k
     side = ComplexSpec(m=k, sets=local.sets, complement=2 * union > q**k)
+    side_size = min(union, q**k - union)
+    ranks = range(1, k + 1) if ranks is None else ranks
+    for r in ranks:
+        if not 1 <= r <= k:
+            raise ValueError(f"r must lie in 1..{k}, got {r}")
+        subspace_count(q, k, r, max_enum)
+    picks = {r: _uses_character_sum(field, k, r, side_size, terms) for r in ranks}
+    member_product = not all(picks.values())
+    if member_product:
+        check_cap(side_size * k * field.e**2, max_enum, what="F_p entries of the scanned side")
     return _SearchContext(
         field=field,
         spec=spec,
@@ -421,47 +438,28 @@ def _search_context(field: Field, spec: ComplexSpec, max_enum=None) -> _SearchCo
         k=k,
         columns=columns,
         side=side,
-        side_size=min(union, q**k - union),
+        side_size=side_size,
         kernel=kernel,
         terms=terms,
-        max_enum=max_enum,
+        picks=picks,
+        small=codes_to_matrix(member_codes(side, q, max_enum), q, k) if member_product else None,
+        table=_support_table(q, k, terms) if any(picks.values()) else None,
     )
-
-
-def _takes_character_sum(ctx: _SearchContext, r: int) -> bool:
-    """Does rank r take the character sum?  A rank taking the member
-    product first checks the side's F_p entries against the cap: each
-    chunk's product expands the side to |side| k e^2 of them."""
-    field = ctx.field
-    if _uses_character_sum(field, ctx.k, r, ctx.side_size, ctx.terms):
-        return True
-    check_cap(ctx.side_size * ctx.k * field.e**2, ctx.max_enum, what="F_p entries of the scanned side")
-    return False
-
-
-def _build(ctx: _SearchContext, character_sum: bool) -> None:
-    """Build onto the context, once, what the method reads: the U-hat
-    table for the character sum, the listed side for the member product."""
-    q, k = ctx.field.q, ctx.k
-    if character_sum:
-        if ctx.table is None:
-            ctx.table = _support_table(q, k, ctx.terms)
-    elif ctx.small is None:
-        ctx.small = codes_to_matrix(member_codes(ctx.side, q, ctx.max_enum), q, k)
 
 
 def _search(ctx: _SearchContext, r: int, *, d1=None):
     """d_r and its witness: (n - max |D meet H-perp| over the r-dim H inside
     F^C, the first such H in canonical order attaining the max).  Given
     the code's d_1, the scan also stops at the generalized Griesmer bound
-    n - sum_{i<r} ceil(d_1 / q^i), and a chunk above it raises."""
-    if not 1 <= r <= ctx.k:
-        raise ValueError(f"r must lie in 1..{ctx.k}, got {r}")
+    n - sum_{i<r} ceil(d_1 / q^i), and a chunk above it raises.  The
+    context checked every cap and built every input of the rank, so this
+    only scans; a rank the context did not plan raises ``ValueError``."""
+    if r not in ctx.picks:
+        raise ValueError(f"rank {r} was not planned in the search context of {ctx.spec.describe()}")
     field, spec = ctx.field, ctx.spec
     q, k = field.q, ctx.k
-    total = subspace_count(q, k, r, ctx.max_enum)
-    character_sum = _takes_character_sum(ctx, r)
-    _build(ctx, character_sum)
+    total = gaussian_binomial(k, r, q)
+    character_sum = ctx.picks[r]
     table = ctx.table if character_sum else None
     per_h = q ** (k - r)
     # the zero vector lies in every H-perp and never in a complement
@@ -506,23 +504,18 @@ def ghw_prop1(field: Field, spec: ComplexSpec, r: int, *, max_enum=None):
     of F^m when the kernel is zero): the search runs on D read at C, in
     F^k with k = |C|, and embeds its optimum at C's columns.
     """
-    return _search(_search_context(field, spec, max_enum), r)
+    return _search(_search_context(field, spec, max_enum, (r,)), r)
 
 
 def hierarchy_prop1(field: Field, spec: ComplexSpec, *, max_enum=None) -> WeightHierarchy:
     """Full weight hierarchy by subspace search, one search per rank in
     turn, keeping each rank's witness: rank 1 first, then each higher rank
-    stopped also at the Griesmer bound from d_1.  Every cap of every rank
-    is checked, and the U-hat table and the side are built, before the
-    first search starts."""
+    stopped also at the Griesmer bound from d_1.  Its search context
+    checks every cap of every rank, and builds the U-hat table and the
+    side, before the first search starts."""
     ctx = _search_context(field, spec, max_enum)
-    ranks = range(1, ctx.k + 1)
-    for r in ranks:
-        subspace_count(ctx.field.q, ctx.k, r, ctx.max_enum)
-    for character_sum in {_takes_character_sum(ctx, r) for r in ranks}:
-        _build(ctx, character_sum)
     found = [_search(ctx, 1)]
-    found += [_search(ctx, r, d1=found[0][0]) for r in ranks[1:]]
+    found += [_search(ctx, r, d1=found[0][0]) for r in range(2, ctx.k + 1)]
     values = check_hierarchy_bounds(ctx.field.q, ctx.n, ctx.k, tuple(value for value, _ in found))
     return WeightHierarchy(
         spec=spec,

@@ -388,7 +388,10 @@ def hierarchy_formula(q: int, spec: ComplexSpec) -> WeightHierarchy:
     if not tables:
         raise NotApplicable("no closed form claims this specification")
     k = spec.m
-    n = cardinality(spec, q)
+    # a closed form enumerates nothing for a cap to bound: l generators
+    # give at most 2^l - 1 terms (the tables allow 7 for three, l + 1 for
+    # disjoint ones), so a cap of 2^l never refuses
+    n = cardinality(spec, q, 2 ** len(spec.sets))
     evaluated = [(key, *_evaluate_rows(key, rows, k)) for key, rows in tables]
     base_key, base_values, base_prov = evaluated[0]
     for key, values, _ in evaluated[1:]:

@@ -34,6 +34,7 @@ decided before any walk, and no cap can refuse it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,19 +102,30 @@ def normalize_sets(sets):
     return tuple(kept), dropped
 
 
+def _coordinate(x, m: int) -> int:
+    """``x`` as a Python int in 1..m; an integer of any type (numpy's
+    included) is taken, anything else (1.5, "1") is refused."""
+    try:
+        j = operator.index(x)
+    except TypeError:
+        raise ValueError(f"coordinate {x!r} is not an integer") from None
+    if not 1 <= j <= m:
+        raise ValueError(f"coordinate {x} outside 1..{m}")
+    return j
+
+
 def normalize(m: int, sets, complement: bool) -> ComplexSpec:
     """Validate and canonicalize a defining-set description."""
     if m < 1:
         raise ValueError(f"ambient dimension must be positive, got {m}")
     if not sets:
         raise ValueError("at least one generating set is required")
+    coordinates = []
     for s in sets:
         if not s:
             raise ValueError("generating sets must be nonempty")
-        for x in s:
-            if not 1 <= int(x) <= m:
-                raise ValueError(f"coordinate {x} outside 1..{m}")
-    kept, _ = normalize_sets(sets)
+        coordinates.append([_coordinate(x, m) for x in s])
+    kept, _ = normalize_sets(coordinates)
     return ComplexSpec(m=m, sets=kept, complement=bool(complement))
 
 

@@ -418,13 +418,30 @@ def test_a_small_cap_does_not_refuse_a_closed_form(capsys):
     """Emptiness needs no sizing, so the CLI sizes nothing before the
     closed form, and a --max-enum below the two generators' inclusion-
     exclusion terms (three) refuses only a search.  The closed form sizes
-    the spec under the default cap, and the cap bounds enumeration, which
-    the formula does none of."""
+    the spec under no cap, since the cap bounds enumeration, which the
+    formula does none of."""
     argv = ["params", "--q", "2", "--m", "4", "--sets", "1,2;3,4", "--max-enum", "2"]
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert out.startswith("[7, 4, 2] code over GF(2), <1,2;3,4> in F^4\nmethod: formula ")
     assert cli.main(["hierarchy", "--method", "brute"] + argv[1:]) == 3
+    assert "refusing to enumerate 3 inclusion-exclusion terms" in capsys.readouterr().err
+
+
+def test_the_cap_variable_does_not_refuse_a_closed_form(capsys, monkeypatch):
+    """GHW_MAX_ENUM below the three terms of `1,2;3,4` refuses no closed
+    form: not `params`, not the closed form half of `hierarchy --method
+    both` (whose search is under --max-enum) and not the formula leg of
+    `verify-paper`.  A search under that cap is still refused."""
+    monkeypatch.setenv("GHW_MAX_ENUM", "2")
+    argv = ["--q", "2", "--m", "4", "--sets", "1,2;3,4", "--max-enum", "1000"]
+    assert cli.main(["params"] + argv) == 0
+    assert capsys.readouterr().out.startswith("[7, 4, 2] code over GF(2)")
+    assert cli.main(["hierarchy"] + argv) == 0
+    assert "method: both " in capsys.readouterr().out
+    assert cli.main(["verify-paper", "--only", "thm2", "--max-enum", "100000"]) == 0
+    assert "1 cases: 1 passed, 0 failed" in capsys.readouterr().out
+    assert cli.main(["hierarchy", "--method", "brute"] + argv[:-2]) == 3
     assert "refusing to enumerate 3 inclusion-exclusion terms" in capsys.readouterr().err
 
 
@@ -617,6 +634,17 @@ def test_reference_json_bytes_are_pinned(capsys):
     assert cli.main(["verify-paper", "--only", "thm", "--format", "json"]) == 0
     out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', capsys.readouterr().out)
     assert out == "[" + ", ".join(rows) + "]\n"
+
+
+def test_verify_paper_shares_the_run_options(capsys):
+    """verify-paper takes --threads and --max-enum with the help text of
+    params and hierarchy, and no --verbose, which it would not read."""
+    with pytest.raises(SystemExit):
+        cli.main(["verify-paper", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert "--max-enum MAX_ENUM enumeration cap (overrides GHW_MAX_ENUM; default 10000000)" in out
+    assert "--threads THREADS accepted and validated (at least 1)" in out
+    assert "--verbose" not in out
 
 
 def test_reference_filter_without_match(capsys):

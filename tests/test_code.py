@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import math
@@ -38,6 +39,7 @@ from ghw.linalg import (
     rref,
     span_vectors,
     subspace_bases_array,
+    subspace_count,
     subspace_from_vectors,
 )
 from ghw.oracle import ghw_definitional, hierarchy_definitional
@@ -314,6 +316,30 @@ def test_every_q3m5_spec_agrees_with_the_subcode_enumeration(nonzero_kernel, wal
     assert hashed.hexdigest() == digest
 
 
+# the q=2 m=6 cell, at most three generators
+_Q2M6_CELL = (((2, 1), 6, 3),)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "nonzero_kernel, walked, digest",
+    [
+        (True, (6932, 0), "a3670209a2aefaf111442ba36f5ee991224d8fe7f7e6e32578f1cfe9d0cdb329"),
+        (False, (23895, 10430), "08a02ed08f6a8a2e36d07bbb23a213ba043d4c0da15c8740dda3b5eef1d21801"),
+    ],
+    ids=["kernel", "zero-kernel"],
+)
+def test_every_q2m6_spec_agrees_with_the_subcode_enumeration(nonzero_kernel, walked, digest):
+    """Every antichain of at most three generators in F_2^6, both flags,
+    no sampling, each kernel kind hashed on its own: 6,932 specs with a
+    nonzero kernel, none claimed by a closed form, and 23,895 with K = 0,
+    10,430 of them claimed.  It takes about 45 s, so the default run
+    deselects it; select it with ``-m slow``."""
+    hashed = hashlib.sha256()
+    assert _sweep(_Q2M6_CELL, nonzero_kernel, hashed) == walked
+    assert hashed.hexdigest() == digest
+
+
 def test_witness_attains_the_weight():
     spec = normalize(4, [[1, 2], [2, 3, 4]], False)
     code = build_code(F2, spec)
@@ -512,12 +538,15 @@ def test_valid_mask_reduces_only_the_witness_rows(monkeypatch, capsys):
 
 
 def test_the_search_context_resolves_the_cap_once(monkeypatch):
-    """The context holds the resolved cap, so its ranks' cap checks read
-    no GHW_MAX_ENUM; a malformed value still fails the next context."""
+    """The context checks every cap of its ranks against the cap it
+    resolved, so a search reads no GHW_MAX_ENUM; a malformed value still
+    fails the next context."""
     spec = normalize(4, [[1, 2], [3, 4]], False)
+    monkeypatch.setenv("GHW_MAX_ENUM", "34")  # G(4, 2) = 35
+    with pytest.raises(ResourceCapError, match="refusing to enumerate 35 2-dim"):
+        _search_context(F2, spec)
     monkeypatch.setenv("GHW_MAX_ENUM", "1000")
     ctx = _search_context(F2, spec)
-    assert ctx.max_enum == 1000
     monkeypatch.setenv("GHW_MAX_ENUM", "lots")
     assert _search(ctx, 2)[0] == ghw_prop1(F2, spec, 2, max_enum=1000)[0]
     with pytest.raises(ValueError, match="GHW_MAX_ENUM must be an integer, got 'lots'"):
@@ -1039,6 +1068,39 @@ def test_support_table_is_built_once_and_only_when_used(monkeypatch):
     spec = normalize(7, [[1, 2, 3, 4], [4, 5, 6, 7]], False)
     hierarchy_prop1(F2, spec)
     assert built == [(2, 7)]
+
+
+def test_every_rank_is_planned_once(monkeypatch):
+    """The context decides each rank's count check and pick once: a
+    hierarchy of q=2 m=9 `1,2,3,4,5;5,6,7,8,9` (k = 9) makes nine of
+    each, and its searches only scan."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr("ghw.code._uses_character_sum", counting("pick", _uses_character_sum))
+    monkeypatch.setattr("ghw.code.subspace_count", counting("count", subspace_count))
+    hierarchy_prop1(F2, normalize(9, [[1, 2, 3, 4, 5], [5, 6, 7, 8, 9]], False))
+    assert calls == {"pick": 9, "count": 9}
+
+
+def test_the_search_context_is_fixed_at_construction():
+    """The context is frozen, with its picks, side and table set when it
+    is built, and it searches only the ranks it planned."""
+    spec = normalize(7, [[1, 2, 3, 4], [4, 5, 6, 7]], False)
+    ctx = _search_context(F2, spec, ranks=(1, 5))
+    assert ctx.picks == {1: True, 5: False}
+    assert ctx.table is not None and ctx.small is not None
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ctx.table = None
+    assert _search(ctx, 5)[0] == ghw_prop1(F2, spec, 5)[0]
+    with pytest.raises(ValueError, match=r"rank 2 was not planned"):
+        _search(ctx, 2)
 
 
 # ---- theorem checks on every hierarchy ----------------------------------

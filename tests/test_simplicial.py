@@ -64,6 +64,19 @@ def test_normalize_validation():
         normalize(0, [[1]], False)
 
 
+def test_normalize_takes_only_integer_coordinates():
+    """A coordinate that is not an integer is refused by name, not
+    truncated (1.5 would read as 1) nor left to fail in a sort; an integer
+    of numpy's type is kept as a Python int."""
+    with pytest.raises(ValueError, match=r"^coordinate 1\.5 is not an integer$"):
+        normalize(4, [[1.5, 2]], False)
+    with pytest.raises(ValueError, match=r"^coordinate '1' is not an integer$"):
+        normalize(4, [["1", 2]], False)
+    spec = normalize(4, [[np.int64(3), np.int32(1)]], False)
+    assert spec.sets == ((1, 3),)
+    assert {type(x) for x in spec.sets[0]} == {int}
+
+
 # ---- membership and counting --------------------------------------------
 
 
