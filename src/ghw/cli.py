@@ -1,7 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 argument or input errors, 3 enumeration refused
-by the resource cap or a size limit (member codes past 64 bits), 4 a
+Exit codes: 0 success, 2 argument or input errors (a cap below 1 among
+them), 3 enumeration refused by the resource cap or a size limit (member
+codes past 64 bits, a count past Python's int-to-str digit limit), 4 a
 verification mismatch, 5 no closed form applies.
 """
 
@@ -220,6 +221,16 @@ def cmd_verify_paper(args) -> int:
     return 4 if failed else 0
 
 
+def _printable(value: int, what: str) -> int:
+    """``value``, refused with exit 3 when it has more decimal digits than
+    ``sys.get_int_max_str_digits()`` lets an int be printed with (0 is no
+    limit), so a count too long to print is refused as soon as it is made."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and value >= 10**limit:
+        raise CLIError(f"{what} has more than {limit} digits, past the int-to-str limit", code=3)
+    return value
+
+
 def cmd_count(args) -> int:
     field = _resolve_field(args)
     q, m = field.q, args.m
@@ -234,17 +245,17 @@ def cmd_count(args) -> int:
         ctx = _search_context(field, union_spec, ranks=())
     k = m if ctx is None else ctx.k  # the dimension the search spans
     ranks = [args.r] if args.r is not None else list(range(1, m + 1))
-    rows = []
+    rows, total = [], 0
     for r in ranks:
-        count = gaussian_binomial(m, r, q)
+        count = _printable(gaussian_binomial(m, r, q), f"the count of {r}-dim subspaces of F_{q}^{m}")
+        total = _printable(total + count, "the total of the counts")
         ops = None
         if ctx is not None and r <= k:  # per basis scored, the search's pick
             width = ctx.side_size
             if _uses_character_sum(field, k, r, ctx.side_size, ctx.terms):
                 width = q**r
-            ops = representative_count(q, k, r) * width * k
+            ops = _printable(representative_count(q, k, r) * width * k, f"the rank-{r} search_ops")
         rows.append((r, count, gaussian_binomial(k, r, q), ops))
-    total = sum(c for _, c, _, _ in rows)
     if args.format == "json":
         payload = {"q": q, "e": field.e, "m": m, "rows": [], "total": total}
         for r, count, _, ops in rows:
@@ -310,7 +321,7 @@ def _add_run_options(sub):
     )
     sub.add_argument(
         "--max-enum",
-        type=int,
+        type=_positive,
         default=None,
         help=f"enumeration cap (overrides GHW_MAX_ENUM; default {DEFAULT_MAX_ENUM})",
     )

@@ -93,10 +93,11 @@ The counts being identical, the chunk step, the orbit representatives,
 the cap checks and their order are untouched, and so are values,
 ``--verbose`` witnesses and the chunk where the early exit fires.
 
-Each rank is scanned in canonical order, one chunk of candidate bases at
-a time, each chunk built on demand.  Chunks hold ``linalg.chunk_rows``
-rows, so the products of scoring stay within ``linalg._CHUNK_BYTES``
-however large the scanned side.  A chunk reduces
+Each rank is scanned in canonical order along ``linalg.basis_chunks``,
+the one walk over a rank, one chunk of candidate bases at a time, each
+chunk built on demand.  The walk sizes chunks by scoring's bytes per row,
+so the products of scoring stay within ``linalg._CHUNK_BYTES`` however
+large the scanned side.  A chunk reduces
 to its best value and a copy of its first optimal basis, so nothing of
 the rank outlives the scan, and the scan stops at the first chunk that
 reaches the bound.  ``hierarchy_prop1`` runs this scan for each rank in
@@ -133,13 +134,13 @@ element code 1 as its first nonzero entry:
   values, witnesses and the chunk where the early exit fires are those
   of the full scan.
 
-A chunk still spans ``chunk_rows`` canonical candidates, and the cap
-checks count every canonical candidate, G(k, r); only the
-representatives among them are built (``subspace_bases_array`` with
-``orbits``), up to (q-1)^(k-r) fewer rows, and a chunk may hold none.
-At q = 2 every basis is its own representative, so the search asks for
-plain ranges there, which the oracle's calls (``orbits=False``) share in
-``subspace_bases_array``'s cache.
+A chunk still spans the walk's range of canonical candidates, and the
+cap checks count every canonical candidate, G(k, r); only the
+representatives among them are built (``basis_chunks`` with
+``orbits``), up to (q-1)^(k-r) fewer rows, and the walk skips a range
+that holds none.  At q = 2 every basis is its own representative, so the
+search asks for plain ranges there, which the oracle's walks
+(``orbits=False``) share in ``linalg.subspace_bases_array``'s cache.
 
 A request builds one search context (``_search_context``) for the ranks
 it searches: all of 1..k for ``hierarchy_prop1``, r alone for
@@ -176,11 +177,9 @@ from .field import Field, matmul
 from .linalg import (
     _CHUNK_BYTES,
     Subspace,
-    chunk_rows,
+    basis_chunks,
     codes_to_matrix,
-    gaussian_binomial,
     rref,
-    subspace_bases_array,
     subspace_count,
     subspace_from_rref,
 )
@@ -458,7 +457,6 @@ def _search(ctx: _SearchContext, r: int, *, d1=None):
         raise ValueError(f"rank {r} was not planned in the search context of {ctx.spec.describe()}")
     field, spec = ctx.field, ctx.spec
     q, k = field.q, ctx.k
-    total = gaussian_binomial(k, r, q)
     character_sum = ctx.picks[r]
     table = ctx.table if character_sum else None
     per_h = q ** (k - r)
@@ -466,17 +464,13 @@ def _search(ctx: _SearchContext, r: int, *, d1=None):
     bound = per_h - spec.complement
     if d1 is not None:
         bound = min(bound, ctx.n - sum(-(-d1 // q**i) for i in range(r)))
-    # per row: scoring's product and digit
-    step = chunk_rows(8 * min(field.e, 2) * r * ctx.side_size)
     # the member product counts the side and the character sum counts U;
     # what is counted lies outside D when its complement flag is not D's
     outside = spec.complement != (ctx.side.complement and not character_sum)
     best = witness = None
-    for start in range(0, total, step):
-        # one basis per column orbit; see the module docstring
-        chunk = subspace_bases_array(q, k, r, start, min(start + step, total), orbits=q > 2)
-        if not len(chunk):
-            continue
+    # per row: scoring's product and digit; one basis per column orbit,
+    # see the module docstring
+    for _, chunk in basis_chunks(q, k, r, 8 * min(field.e, 2) * r * ctx.side_size, orbits=q > 2):
         counts = _orthogonal_counts(field, chunk, ctx.small, table)
         inside = per_h - counts if outside else counts
         pos = int(np.argmax(inside))

@@ -27,16 +27,18 @@ class ResourceCapError(Exception):
 
 
 def resolve_max_enum(explicit=None) -> int:
-    """Effective cap: explicit argument > GHW_MAX_ENUM > default."""
-    if explicit is not None:
-        return int(explicit)
-    env = os.environ.get("GHW_MAX_ENUM")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"GHW_MAX_ENUM must be an integer, got {env!r}")
-    return DEFAULT_MAX_ENUM
+    """Effective cap: explicit argument > GHW_MAX_ENUM > default.  A cap
+    that is not an integer, or is below 1, raises ``ValueError``."""
+    name, cap = "max_enum", explicit
+    if explicit is None:  # read only then: a search resolves its cap per check
+        name, cap = "GHW_MAX_ENUM", os.environ.get("GHW_MAX_ENUM", DEFAULT_MAX_ENUM)
+    try:
+        cap = int(cap)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {cap!r}")
+    if cap < 1:
+        raise ValueError(f"{name} must be at least 1, got {cap}")
+    return cap
 
 
 def check_cap(required: int, max_enum=None, what: str = "candidates") -> int:

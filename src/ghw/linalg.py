@@ -12,11 +12,14 @@ binomial, which doubles as a cheap cross-check.
 
 Bases are never built a whole rank at once.  A small per-(q, m, r) layout
 records where each pivot set starts in that order, so any range of basis
-numbers can be filled directly; every caller walks a rank in ranges of at
-most ``_CHUNK`` rows, and only the most recent few ranges stay cached.
-Callers whose work per row grows with the input (the search's scoring
-and kernel mask, the oracle's codewords and gathers) size their ranges
-with ``chunk_rows``, so that work stays within ``_CHUNK_BYTES``.
+numbers can be filled directly, and only the most recent few ranges stay
+cached.  Every walk over a rank (the search, the oracle's support table
+and subcodes, the avoidance oracle and ``enumerate_subspaces``) is one
+generator, ``basis_chunks``: it yields the rank in ranges of at most
+``chunk_rows(row_bytes)`` canonical numbers, ``row_bytes`` being the
+caller's work per row, so that work stays within ``_CHUNK_BYTES`` and no
+range exceeds ``_CHUNK`` rows.  ``line_numbers`` inverts the order of
+rank 1, mapping a monic row to its canonical number.
 
 The search asks only for column-orbit representatives: the bases whose
 every column has element code 1 as its first nonzero entry (code.py says
@@ -36,8 +39,8 @@ state's count of completions is the product over its columns.  So:
   being the other columns' completions (``_unrank_representatives``);
 - a scalar walk over a canonical number's digits counts the
   representatives below it, which maps a canonical range to the range of
-  representatives it holds (``_representatives_below``), so callers keep
-  their chunks in canonical numbers and only the rows built shrink.
+  representatives it holds (``_representatives_below``), so the walk keeps
+  its ranges in canonical numbers and only the rows built shrink.
 
 At q = 2 both counts are 2^a and every basis is a representative.
 """
@@ -56,8 +59,8 @@ import numpy as np
 from .config import check_cap
 from .field import Field, matmul
 
-# rows per candidate range: every walk over a rank's bases (search, oracle,
-# enumeration) asks for ranges of at most this many, which bounds their memory
+# rows per candidate range: basis_chunks, the one walk over a rank's bases,
+# yields ranges of at most this many, which bounds their memory
 _CHUNK = 4096
 # bytes one range's per-row work may take; see chunk_rows
 _CHUNK_BYTES = 16 * 2**20
@@ -342,9 +345,9 @@ def subspace_bases_array(q: int, m: int, r: int, start: int, stop: int, orbits=F
 
     Shape (stop - start, r, m), int64.  Entries are element codes; the
     construction is purely combinatorial so it serves prime and extension
-    fields alike.  Callers walk a rank in ranges of at most ``_CHUNK``
-    rows, so the memory held here is bounded by the chunk, never by the
-    Gaussian binomial.  The array is frozen and shared, callers must not
+    fields alike.  ``basis_chunks`` walks a rank in ranges of at most
+    ``_CHUNK`` rows, so the memory held here is bounded by the chunk, never
+    by the Gaussian binomial.  The array is frozen and shared, callers must not
     write to it.
 
     With ``orbits`` only the column-orbit representatives among those
@@ -383,12 +386,35 @@ def subspace_bases_array(q: int, m: int, r: int, start: int, stop: int, orbits=F
     return out
 
 
+def basis_chunks(q: int, m: int, r: int, row_bytes: int = 0, orbits=False):
+    """Walk the canonical r-by-m bases over GF(q) in order: yield
+    (start, bases) per range of ``chunk_rows(row_bytes)`` canonical
+    numbers, start the number of the range's first basis and bases its
+    ``subspace_bases_array``.  With ``orbits`` only the column-orbit
+    representatives are built, and a range holding none is skipped."""
+    total = gaussian_binomial(m, r, q)
+    step = chunk_rows(row_bytes)
+    for start in range(0, total, step):
+        bases = subspace_bases_array(q, m, r, start, min(start + step, total), orbits=orbits)
+        if len(bases):
+            yield start, bases
+
+
+def line_numbers(rows: np.ndarray, q: int) -> np.ndarray:
+    """Canonical number of each monic row (last axis) among the 1-dim
+    subspaces of F_q^k, the inverse of ``subspace_bases_array(q, k, 1, ...)``:
+    a row with pivot p and code c = row . (q^(k-1), ..., 1) is number
+    c - q^(k-1-p) + sum_{i<p} q^(k-1-i)."""
+    weights = q ** np.arange(rows.shape[-1] - 1, -1, -1, dtype=np.int64)
+    offsets = np.concatenate(([0], np.cumsum(weights)[:-1])) - weights
+    return rows @ weights + offsets[np.argmax(rows != 0, axis=-1)]
+
+
 def enumerate_subspaces(field: Field, m: int, r: int, max_enum=None):
     """Yield every r-dimensional subspace of F_q^m in canonical order.
 
     Refuses to start when the subspace count exceeds the enumeration cap.
     """
-    total = subspace_count(field.q, m, r, max_enum)
-    for s in range(0, total, _CHUNK):
-        for block in subspace_bases_array(field.q, m, r, s, min(s + _CHUNK, total)):
-            yield subspace_from_rref(block)
+    subspace_count(field.q, m, r, max_enum)
+    for _, bases in basis_chunks(field.q, m, r):
+        yield from map(subspace_from_rref, bases)

@@ -11,18 +11,21 @@ Every row of a canonical RREF basis is monic (its first nonzero entry is
 1), so each code first pushes its G(k, 1) monic messages through a
 full-rank generator, once, and keeps the supports of those codewords in
 a table packed into 64-bit words; the codewords come from
-``field.matmul``.  A subcode then costs a lookup of its r rows, an OR
+``field.matmul``.  A subcode then costs a lookup of its r rows
+(``linalg.line_numbers`` turns each row into its line's number), an OR
 over them and a popcount.  The table is built, and subcodes are taken,
-in blocks of ``linalg.chunk_rows`` rows, so the memory of a block stays
-within ``linalg._CHUNK_BYTES`` whatever the code length.  Candidate
-ranges are asked for with ``orbits=False``, the key the search uses at
-q = 2, so a range both build is built once.
+along ``linalg.basis_chunks``, the one walk over a rank, sized by each
+row's bytes, so the memory of a block stays within
+``linalg._CHUNK_BYTES`` whatever the code length.  The walk asks for
+ranges with ``orbits=False``, the key the search uses at q = 2, so a
+range both build is built once.
 
 The avoidance oracle answers the same question as the paired-extension
 construction: the largest dimension of a subspace meeting each of the
 given subspaces only in zero.  It enumerates every subspace of the
-ambient sum and tests disjointness on raw vector sets, spelling each
-subspace out with ``linalg.span_vectors``, so it runs over every GF(q).
+ambient sum along the same walk and tests disjointness on raw vector
+sets, spelling each subspace out with ``linalg.span_vectors``, so it runs
+over every GF(q).
 """
 
 from __future__ import annotations
@@ -35,13 +38,12 @@ from .code import LinearCode, WeightHierarchy, check_hierarchy_bounds
 from .config import check_cap
 from .field import Field, matmul
 from .linalg import (
-    _CHUNK,
     Subspace,
-    chunk_rows,
+    basis_chunks,
     gaussian_binomial,
+    line_numbers,
     rref,
     span_vectors,
-    subspace_bases_array,
     subspace_count,
     subspace_from_vectors,
 )
@@ -68,13 +70,10 @@ def _row_supports(code: LinearCode) -> np.ndarray:
     nbytes = -(-code.n // 64) * 8
     table = np.zeros((total, nbytes), dtype=np.uint8)
     # matmul holds two (c, n) int64 arrays: the product and one digit
-    step = chunk_rows(16 * code.n)
-    for s in range(0, total, step):
-        stop = min(s + step, total)
-        messages = subspace_bases_array(field.q, code.k, 1, s, stop, orbits=False)[:, 0]
-        words = matmul(field, messages, gen)  # (c, n) codewords
+    for start, messages in basis_chunks(field.q, code.k, 1, 16 * code.n):
+        words = matmul(field, messages[:, 0], gen)  # (c, n) codewords
         packed = np.packbits(words != 0, axis=1, bitorder="little")
-        table[s:stop, : packed.shape[1]] = packed
+        table[start : start + len(packed), : packed.shape[1]] = packed
     return table.view("<u8")
 
 
@@ -83,22 +82,13 @@ def ghw_definitional(code: LinearCode, r: int, max_enum=None) -> int:
     if not 1 <= r <= code.k:
         raise ValueError(f"r must lie in 1..{code.k}, got {r}")
     q, k = code.field.q, code.k
-    total = subspace_count(q, k, r, max_enum, what=f"{r}-dim subcodes")
+    subspace_count(q, k, r, max_enum, what=f"{r}-dim subcodes")
     subspace_count(q, k, 1, max_enum, what="1-dim subcodes")  # table rows
     table = _row_supports(code)
-    # a monic row with pivot p and code c = row . (q^(k-1), ..., 1) is
-    # 1-dim subspace number c - q^(k-1-p) + sum_{i<p} q^(k-1-i)
-    weights = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(weights)[:-1])) - weights
-    step = chunk_rows(8 * r * table.shape[1])  # the gathered (c, r, words)
-    best = None
-    for s in range(0, total, step):
-        chunk = subspace_bases_array(q, k, r, s, min(s + step, total), orbits=False)
-        index = chunk @ weights + offsets[np.argmax(chunk != 0, axis=2)]  # (c, r)
-        support = np.bitwise_or.reduce(table[index], axis=1)  # (c, words)
-        low = int(np.bitwise_count(support).sum(axis=1, dtype=np.int64).min())
-        if best is None or low < best:
-            best = low
+    best = code.n  # no support is larger
+    for _, chunk in basis_chunks(q, k, r, 8 * r * table.shape[1]):  # gathers (c, r, words)
+        support = np.bitwise_or.reduce(table[line_numbers(chunk, q)], axis=1)  # (c, words)
+        best = min(best, int(np.bitwise_count(support).sum(axis=1, dtype=np.int64).min()))
     return best
 
 
@@ -132,9 +122,8 @@ def _subspaces_by_dim(field: Field, s: int):
     out = [(0, frozenset())]
     weights = q ** np.arange(s - 1, -1, -1, dtype=np.int64)
     for r in range(1, s + 1):
-        total = gaussian_binomial(s, r, q)
-        for start in range(0, total, _CHUNK):
-            for block in subspace_bases_array(q, s, r, start, min(start + _CHUNK, total)):
+        for _, bases in basis_chunks(q, s, r):
+            for block in bases:
                 vecs = span_vectors(field, block)
                 out.append((r, frozenset(int(c) for c in vecs @ weights)))
     return tuple(out)

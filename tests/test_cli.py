@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import importlib
 import json
@@ -14,6 +15,7 @@ from time import perf_counter
 import pytest
 
 from ghw import cli, formulas
+from ghw.config import resolve_max_enum
 
 # ---- field and spec resolution ---------------------------------------------
 
@@ -81,6 +83,24 @@ def test_malformed_cap_variable_exits_two(capsys, monkeypatch):
     assert capsys.readouterr().err.count("error: GHW_MAX_ENUM must be an integer") == 2
 
 
+def test_a_cap_variable_below_one_exits_two(capsys, monkeypatch):
+    """A cap below 1 is an input error, not a cap that refuses every
+    search: the library raises ValueError and the CLI exits 2, before any
+    closed form or search runs."""
+    monkeypatch.setenv("GHW_MAX_ENUM", "-3")
+    with pytest.raises(ValueError, match="GHW_MAX_ENUM must be at least 1, got -3"):
+        resolve_max_enum()
+    with pytest.raises(ValueError, match="max_enum must be at least 1, got 0"):
+        resolve_max_enum(0)
+    for argv in (
+        ["params", "--q", "2", "--m", "4", "--sets", "1,2;3,4"],
+        ["hierarchy", "--q", "2", "--m", "4", "--sets", "1,2;3,4"],
+        ["verify-paper", "--only", "thm2"],
+    ):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", "error: GHW_MAX_ENUM must be at least 1, got -3\n")
+
+
 def test_rejects_malformed_sets(capsys):
     assert cli.main(["params", "--q", "2", "--m", "3", "--sets", "1,,2"]) == 2
     assert cli.main(["params", "--q", "2", "--m", "3", "--sets", "1,4"]) == 2
@@ -108,8 +128,20 @@ def test_empty_defining_set_exits_two(capsys, command):
         ["hierarchy", "--q", "2", "--m", "3", "--sets", "1", "--threads", "0"],
         ["params", "--q", "2", "--m", "3", "--sets", "1", "--threads", "-2"],
         ["verify-paper", "--threads", "0"],
+        ["params", "--q", "2", "--m", "3", "--sets", "1", "--max-enum", "0"],
+        ["hierarchy", "--q", "2", "--m", "3", "--sets", "1", "--max-enum", "-5"],
+        ["verify-paper", "--max-enum", "0"],
     ],
-    ids=["m-negative", "m-zero", "hierarchy-threads-zero", "params-threads-negative", "verify-threads-zero"],
+    ids=[
+        "m-negative",
+        "m-zero",
+        "hierarchy-threads-zero",
+        "params-threads-negative",
+        "verify-threads-zero",
+        "params-cap-zero",
+        "hierarchy-cap-negative",
+        "verify-cap-zero",
+    ],
 )
 def test_counts_below_one_exit_two(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -290,6 +322,42 @@ def test_count_subspaces_json(capsys):
     assert [sorted(row) for row in rows] == [["count", "r", "search_ops"]] * 2 + [["count", "r"]] * 2
     assert cli.main(argv[:-2]) == 0
     assert capsys.readouterr().out.startswith("subspaces of F_2^4 (defining side size 0)\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--m", "240"],
+        ["--m", "300", "--format", "json"],
+        ["--m", "600"],
+        ["--m", "240", "--sets", "1,2,3;3,4,5", "--format", "json"],
+    ],
+    ids=["m240", "m300-json", "m600", "m240-sets"],
+)
+def test_count_subspaces_refuses_a_count_too_long_to_print(capsys, argv):
+    """A count with more digits than Python prints an int with is a size
+    limit, exit 3, refused at the first rank that reaches it: G(600, r)
+    for every r would take about 16 s."""
+    start = perf_counter()
+    assert cli.main(["count-subspaces", "--q", "2"] + argv) == 3
+    assert perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(
+        r"error: the count of \d+-dim subspaces of F_2\^\d+ has more than "
+        r"\d+ digits, past the int-to-str limit\n",
+        err,
+    ), err
+
+
+def test_count_subspaces_prints_counts_up_to_the_digit_limit(capsys):
+    """G(230, 115) over GF(2) has 3,982 digits, under the default limit
+    of 4,300: every count and the total are printed whole (sha256 of the
+    text output pinned)."""
+    assert cli.main(["count-subspaces", "--q", "2", "--m", "230"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest().startswith("b9f5df697b9b5c8d")
+    assert max(map(len, re.findall(r"\d+", out))) == 3982
 
 
 def test_count_subspaces_estimates_the_method_the_search_picks(capsys):

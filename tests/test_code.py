@@ -651,7 +651,7 @@ def test_early_exit_rows_are_pinned(monkeypatch, case, generated, scored):
         made[r] += stop - start
         return subspace_bases_array(q, m, r, start, stop, orbits=orbits)
 
-    monkeypatch.setattr("ghw.code.subspace_bases_array", generating)
+    monkeypatch.setattr("ghw.linalg.subspace_bases_array", generating)
     _scoring_calls(monkeypatch, lambda bases, out: kept.update({bases.shape[1]: len(bases)}))
     hierarchy_prop1(field, normalize(m, sets, complement))
     assert [made[r] for r in sorted(made)] == generated

@@ -11,12 +11,14 @@ from ghw.field import field_new
 from ghw.linalg import (
     _CHUNK,
     _CHUNK_BYTES,
+    basis_chunks,
     chunk_rows,
     codes_to_matrix,
     dual,
     enumerate_subspaces,
     gaussian_binomial,
     intersection,
+    line_numbers,
     null_space,
     representative_count,
     rref,
@@ -280,3 +282,52 @@ def test_chunk_rows_bound_rows_and_bytes():
     assert chunk_rows(8 * 530) == 3956  # a rank-2 scoring buffer over 265 vectors
     assert chunk_rows(8 * 131041) == 16
     assert chunk_rows(_CHUNK_BYTES + 1) == 1
+
+
+@pytest.mark.parametrize(
+    "q, m, r, row_bytes",
+    [
+        (2, 6, 3, 8 * 131041),  # 16 rows a range, 88 ranges
+        (2, 7, 3, 0),  # _CHUNK rows, the last range short
+        (3, 5, 2, _CHUNK_BYTES // 100),
+        (4, 4, 2, _CHUNK_BYTES // 50),
+        (3, 3, 0, 0),  # one empty basis
+    ],
+)
+def test_basis_chunks_walk_the_rank_once_in_order(q, m, r, row_bytes):
+    """Every canonical basis once, in order, in ranges of chunk_rows(row_bytes)
+    canonical numbers, each range starting at the number of its first basis."""
+    total = gaussian_binomial(m, r, q)
+    step = chunk_rows(row_bytes)
+    starts, pieces = zip(*basis_chunks(q, m, r, row_bytes))
+    assert starts == tuple(range(0, total, step))
+    assert [len(piece) for piece in pieces] == [min(step, total - s) for s in starts]
+    assert np.array_equal(np.concatenate(pieces), subspace_bases_array(q, m, r, 0, total))
+
+
+@pytest.mark.parametrize("q, m, r", [(3, 5, 2), (4, 4, 2), (5, 4, 3), (2, 6, 3)])
+def test_orbit_chunks_concatenate_to_the_ranks_representatives(q, m, r):
+    """With orbits the walk keeps its canonical ranges, builds only their
+    representatives and skips exactly the ranges that hold none."""
+    total = gaussian_binomial(m, r, q)
+    for row_bytes in (0, _CHUNK_BYTES // 7, _CHUNK_BYTES):  # 4096, 7 and 1 rows a range
+        step = chunk_rows(row_bytes)
+        starts, pieces = zip(*basis_chunks(q, m, r, row_bytes, orbits=True))
+        held = [
+            a
+            for a in range(0, total, step)
+            if len(subspace_bases_array(q, m, r, a, min(a + step, total), orbits=True))
+        ]
+        assert list(starts) == held
+        assert np.array_equal(
+            np.concatenate(pieces), subspace_bases_array(q, m, r, 0, total, orbits=True)
+        )
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_line_numbers_invert_the_order_of_rank_one(q):
+    for m in range(1, 6):
+        total = gaussian_binomial(m, 1, q)
+        lines = subspace_bases_array(q, m, 1, 0, total)  # (total, 1, m)
+        assert line_numbers(lines[:, 0], q).tolist() == list(range(total))
+        assert line_numbers(lines, q).tolist() == [[i] for i in range(total)]

@@ -78,7 +78,7 @@ def test_definitional_hierarchy_refuses_an_oversized_rank_first(monkeypatch):
     code = build_code(F2, normalize(5, [[1, 2, 3], [3, 4, 5]], False))
     assert ghw_definitional(code, 1, max_enum=100) == 4
     calls = []
-    monkeypatch.setattr("ghw.oracle.subspace_bases_array", lambda *a: calls.append(a))
+    monkeypatch.setattr("ghw.linalg.subspace_bases_array", lambda *a, **kw: calls.append(a))
     with pytest.raises(ResourceCapError, match="enumerate 155 2-dim subcodes"):
         hierarchy_definitional(code, max_enum=100)
     assert calls == []
@@ -234,7 +234,7 @@ def test_definitional_top_rank_caps_the_support_table(monkeypatch):
     code = build_code(F2, normalize(5, [[1, 2, 3], [3, 4, 5]], False))
     rows = gaussian_binomial(code.k, 1, 2)
     calls = []
-    monkeypatch.setattr("ghw.oracle.subspace_bases_array", lambda *a: calls.append(a))
+    monkeypatch.setattr("ghw.linalg.subspace_bases_array", lambda *a, **kw: calls.append(a))
     with pytest.raises(ResourceCapError, match=f"enumerate {rows} 1-dim subcodes"):
         ghw_definitional(code, code.k, max_enum=rows - 1)
     assert calls == []
