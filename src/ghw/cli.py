@@ -255,10 +255,10 @@ def cmd_count(args) -> int:
             if _uses_character_sum(field, k, r, ctx.side_size, ctx.terms):
                 width = q**r
             ops = _printable(representative_count(q, k, r) * width * k, f"the rank-{r} search_ops")
-        rows.append((r, count, gaussian_binomial(k, r, q), ops))
+        rows.append((r, count, ops))
     if args.format == "json":
         payload = {"q": q, "e": field.e, "m": m, "rows": [], "total": total}
-        for r, count, _, ops in rows:
+        for r, count, ops in rows:
             entry = {"r": r, "count": count}
             if ops is not None:
                 entry["search_ops"] = ops
@@ -267,15 +267,20 @@ def cmd_count(args) -> int:
     else:
         side = "" if ctx is None else f" (defining side size {ctx.side_size})"
         print(f"subspaces of F_{q}^{m}" + side)
-        for r, count, _, ops in rows:
+        for r, count, ops in rows:
             line = f"  r={r:<2} count={count}"
             if ops is not None:
                 line += f"  est_search_ops={ops}"
             print(line)
         print(f"total candidates: {total}")
         cap = _resolve_cap()
-        over = [str(r) for r, _, searched, _ in rows if searched > cap]
-        if over:  # the cap applies to each rank's count of candidates searched
+        # the cap applies to each rank's count of candidates searched, G(k, r)
+        over = [
+            str(r)
+            for r, count, _ in rows
+            if (count if k == m else gaussian_binomial(k, r, q)) > cap
+        ]
+        if over:
             print(
                 f"note: over the enumeration cap {cap} at r = {', '.join(over)}; "
                 "a search needs --max-enum or GHW_MAX_ENUM raised"

@@ -23,33 +23,22 @@ rank 1, mapping a monic row to its canonical number.
 
 The search asks only for column-orbit representatives: the bases whose
 every column has element code 1 as its first nonzero entry (code.py says
-why one per orbit suffices).  They are not a fixed mixed radix, because
-free cells run row major across columns and a column's choices depend on
-whether it already has its lead.  A column with a free cells still to
-fill has q^a fillings once it has its lead and 1 + (q^a - 1)/(q - 1)
-before (all zero, or a first nonzero of 1 and anything after), and a
-state's count of completions is the product over its columns.  So:
-
-- the layout also records each pivot set's representative count and
-  where its first representative falls (``representative_count`` gives
-  the total in closed form, a cross-check as the Gaussian binomial is);
-- unranking walks the cells row major for every row at once: a column
-  with its lead takes digit rank // (rest q^(a-1)), one without takes 0
-  or 1 by comparing rank with rest (1 + (q^(a-1) - 1)/(q - 1)), rest
-  being the other columns' completions (``_unrank_representatives``);
-- a scalar walk over a canonical number's digits counts the
-  representatives below it, which maps a canonical range to the range of
-  representatives it holds (``_representatives_below``), so the walk keeps
-  its ranges in canonical numbers and only the rows built shrink.
-
-At q = 2 both counts are 2^a and every basis is a representative.
+why one per orbit suffices).  The walk keeps its ranges in canonical
+numbers and only the rows built shrink.  For each pivot set a range
+meets, ``_representative_codes`` expands the free cells row major, most
+significant first: a column without its lead takes digit 0 or 1, one
+that has it takes any digit, and a prefix is dropped as soon as none of
+its completions falls in the range, so the work follows the range, not
+the pivot set.  The codes kept are filled into rows by the same digit
+fill as every other basis.  ``representative_count`` gives their total
+in closed form, a cross-check as the Gaussian binomial is: a column with
+a free cells has q^a fillings once it has its lead and
+1 + (q^a - 1)/(q - 1) before.  At q = 2 every basis is a representative.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -247,17 +236,15 @@ def representative_count(q: int, m: int, r: int) -> int:
 
 @lru_cache(maxsize=64)
 def _bases_layout(q: int, m: int, r: int):
-    """Where each pivot set sits in the canonical order of r-by-m bases,
-    and among its column-orbit representatives.
+    """Where each pivot set sits in the canonical order of r-by-m bases.
 
-    Returns (firsts, blocks, reps): firsts[i] is the index of the first
-    basis with the i-th pivot set and the last entry is the total count;
-    blocks[i] is (pivots, free cells), the free cells row major; reps is
-    firsts counted in representatives, one pivot set holding the product
-    of ``_led`` over its columns' free cell counts.  At q = 2 every basis
-    is a representative and reps equals firsts.
+    Returns (firsts, blocks): firsts[i] is the index of the first basis
+    with the i-th pivot set and the last entry is the total count;
+    blocks[i] is (pivots, free cells), the free cells row major, so a
+    basis's number within its pivot set is the code of its free-cell
+    digits, the earliest cell most significant.
     """
-    firsts, reps = [0], [0]
+    firsts = [0]
     blocks = []
     for pivots in combinations(range(m), r):
         pivset = set(pivots)
@@ -269,74 +256,34 @@ def _bases_layout(q: int, m: int, r: int):
         )
         blocks.append((pivots, free))
         firsts.append(firsts[-1] + q ** len(free))
-        columns = Counter(j for _, j in free).values()
-        reps.append(reps[-1] + math.prod(_led(q, a) for a in columns))
     assert firsts[-1] == gaussian_binomial(m, r, q)
-    assert reps[-1] == representative_count(q, m, r)
-    return tuple(firsts), tuple(blocks), tuple(reps)
+    return tuple(firsts), tuple(blocks)
 
 
-def _representatives_below(q: int, m: int, r: int, x: int) -> int:
-    """How many representatives come before canonical basis number x.
+def _representative_codes(q: int, free, lo: int, hi: int) -> np.ndarray:
+    """The free-cell codes lo..hi-1 of one pivot set whose every column
+    has element code 1 as its first nonzero entry, ascending.
 
-    Walks x's free-cell digits, most significant first, adding the
-    representatives that share the digits so far and take a smaller one
-    here.  A column that has its lead takes any digit and leaves q^(a-1)
-    fillings of its a - 1 later cells; one without takes 0 (``_led`` of
-    a - 1 fillings) or 1 (q^(a-1)), and a larger digit ends the walk,
-    since no representative shares that prefix.
+    Expands the cells row major, most significant first: a column without
+    its lead takes digit 0 or 1, one that has it takes any digit, and a
+    prefix is dropped as soon as none of its completions falls in
+    [lo, hi).  Which columns have their lead is one boolean per column,
+    not a bit mask, so columns past 63 keep theirs.
     """
-    firsts, blocks, reps = _bases_layout(q, m, r)
-    if x == 0:
-        return 0
-    if x == firsts[-1]:
-        return reps[-1]
-    block = bisect_right(firsts, x) - 1
-    free = blocks[block][1]
-    code = x - firsts[block]
-    below, ahead = reps[block], reps[block + 1] - reps[block]
-    left = Counter(j for _, j in free)
-    led = set()
+    codes = np.zeros(1, dtype=np.int64)
+    led = np.zeros((1, 1 + max((j for _, j in free), default=0)), dtype=bool)
+    digits = np.arange(q)
     for idx, (_, j) in enumerate(free):
-        digit = code // q ** (len(free) - 1 - idx) % q
-        a = left[j]
-        left[j] -= 1
-        if j in led:
-            ahead //= q  # q^(a-1) fillings of this column after each digit
-            below += digit * ahead
-            continue
-        rest = ahead // _led(q, a)
-        if digit == 0:
-            ahead = rest * _led(q, a - 1)
-            continue
-        below += rest * _led(q, a - 1)
-        if digit > 1:
-            return below + rest * q ** (a - 1)
-        led.add(j)
-        ahead = rest * q ** (a - 1)
-    return below
-
-
-def _unrank_representatives(q: int, free, ahead: int, ranks, rows):
-    """Fill the free cells of ``rows`` with the representatives numbered
-    ``ranks`` among the ``ahead`` of one pivot set, the walk of
-    ``_representatives_below`` run backwards for every row at once."""
-    left = Counter(j for _, j in free)
-    led = np.zeros((len(ranks), rows.shape[2]), dtype=bool)
-    ranks = ranks.copy()
-    ahead = np.full(len(ranks), ahead, dtype=np.int64)
-    for i, j in free:
-        a = left[j]
-        left[j] -= 1
-        lead = led[:, j]
-        rest = ahead // np.where(lead, q**a, _led(q, a))
-        after = rest * q ** (a - 1)  # fillings after each digit, once led
-        zeros = rest * _led(q, a - 1)  # fillings after a leading 0
-        digit = np.where(lead, ranks // after, ranks >= zeros)
-        ranks -= np.where(lead, digit * after, digit * zeros)
-        lead |= digit != 0
-        ahead = np.where(lead, after, zeros)
-        rows[:, i, j] = digit
+        span = q ** (len(free) - 1 - idx)  # completions of each extended prefix
+        child = codes[:, None] * q + digits
+        inside = (lo // span <= child) & (child <= (hi - 1) // span)
+        parent, digit = np.nonzero((led[:, j, None] | (digits < 2)) & inside)
+        codes = child[parent, digit]
+        led = led[parent]
+        led[:, j] |= digit != 0
+        if not len(codes):
+            break
+    return codes
 
 
 @lru_cache(maxsize=16)
@@ -355,33 +302,33 @@ def subspace_bases_array(q: int, m: int, r: int, start: int, stop: int, orbits=F
     element code 1 as its first nonzero entry.  A range may hold none.
     At q = 2 that is every basis.
     """
-    firsts, blocks, reps = _bases_layout(q, m, r)
+    firsts, blocks = _bases_layout(q, m, r)
     if not 0 <= start <= stop <= firsts[-1]:
         raise ValueError(f"range {start}..{stop} outside 0..{firsts[-1]}")
-    represent = orbits and q > 2
-    if represent:  # from here on, numbers count representatives
-        firsts = reps
-        start = _representatives_below(q, m, r, start)
-        stop = _representatives_below(q, m, r, stop)
-    out = np.zeros((stop - start, r, m), dtype=np.int64)
+    filled = []  # (block, codes) per pivot set holding rows of the range
     block = bisect_right(firsts, start) - 1
     pos = start
     while pos < stop:
         first = firsts[block]
         end = min(stop, firsts[block + 1])
-        rows = out[pos - start : end - start]
-        pivots, free = blocks[block]
-        for i, p in enumerate(pivots):
-            rows[:, i, p] = 1
-        codes = np.arange(pos - first, end - first, dtype=np.int64)
-        if represent:
-            _unrank_representatives(q, free, firsts[block + 1] - first, codes, rows)
+        if orbits and q > 2:
+            codes = _representative_codes(q, blocks[block][1], pos - first, end - first)
         else:
-            for idx, (i, j) in enumerate(free):
-                x = len(free) - 1 - idx
-                rows[:, i, j] = (codes >> x) & 1 if q == 2 else (codes // q**x) % q
+            codes = np.arange(pos - first, end - first, dtype=np.int64)
+        if len(codes):
+            filled.append((blocks[block], codes))
         pos = end
         block += 1
+    out = np.zeros((sum(len(codes) for _, codes in filled), r, m), dtype=np.int64)
+    pos = 0
+    for (pivots, free), codes in filled:
+        rows = out[pos : pos + len(codes)]
+        for i, p in enumerate(pivots):
+            rows[:, i, p] = 1
+        for idx, (i, j) in enumerate(free):
+            x = len(free) - 1 - idx
+            rows[:, i, j] = (codes >> x) & 1 if q == 2 else (codes // q**x) % q
+        pos += len(codes)
     out.setflags(write=False)
     return out
 

@@ -5,8 +5,15 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ghw"
 
-# the canonical bases and the chunk size: only linalg.basis_chunks walks a rank
-WALK_INTERNALS = {"subspace_bases_array", "_CHUNK", "chunk_rows"}
+# the canonical bases, their layout and the chunk size: only
+# linalg.basis_chunks walks a rank
+WALK_INTERNALS = {
+    "subspace_bases_array",
+    "_bases_layout",
+    "_representative_codes",
+    "_CHUNK",
+    "chunk_rows",
+}
 
 
 def _named(path: Path) -> set:

@@ -244,7 +244,10 @@ def test_orbit_bases_are_the_canonical_ones_leading_with_one(q, top):
     """Every rank at m <= top: orbits=True builds exactly the canonical
     bases whose columns lead with code 1, in canonical order, as many as
     representative_count says, and ranges of 1, 7 and 37 canonical bases
-    concatenate to the same rows."""
+    concatenate to the same rows.  On one rank with a column of two free
+    cells, every window [a, b) of canonical numbers (inside one pivot set,
+    across pivot sets, or holding no representative) builds the filter of
+    its plain range."""
     for m in range(top + 1):
         for r in range(m + 1):
             total = gaussian_binomial(m, r, q)
@@ -263,6 +266,26 @@ def test_orbit_bases_are_the_canonical_ones_leading_with_one(q, top):
                 ]
                 assert all(piece.shape[1:] == (r, m) for piece in pieces)
                 assert np.concatenate(pieces).tolist() == want, (m, r, step)
+    m, r = (4, 2) if q == 3 else (3, 2)  # 130 bases at q = 3
+    total = gaussian_binomial(m, r, q)
+    whole = subspace_bases_array(q, m, r, 0, total).tolist()
+    keep = [_leads_with_one(b) for b in whole]
+    for a in range(total):
+        for b in range(a + 1, total + 1):
+            got = subspace_bases_array(q, m, r, a, b, orbits=True)
+            assert got.tolist() == [x for x, k in zip(whole[a:b], keep[a:b]) if k], (a, b)
+
+
+@pytest.mark.parametrize("q, m, r", [(3, 66, 1), (5, 70, 1), (3, 66, 2)])
+def test_orbit_bases_past_column_63(q, m, r):
+    """The last 13 canonical bases of a rank wider than 64 columns: the
+    orbit rows are the filter of the plain ones, so no column's lead is
+    lost past bit 63."""
+    total = gaussian_binomial(m, r, q)
+    plain = subspace_bases_array(q, m, r, total - 13, total).tolist()
+    got = subspace_bases_array(q, m, r, total - 13, total, orbits=True).tolist()
+    assert got == [b for b in plain if _leads_with_one(b)]
+    assert got
 
 
 def test_orbit_bases_at_q2_are_every_basis():
