@@ -31,7 +31,8 @@ never holds the zero vector).  C is listed in ascending order, so
 canonical order on F^k is canonical order on F^C, a subsequence of
 canonical order on F^m: the witness of a rank, the first optimal H in
 canonical order, is embedded at C's columns.  Before it is returned,
-``_valid_mask`` checks by a rank count that it meets K only in zero.
+``_valid_mask`` checks that it is zero at every pivot of K, which is
+enough for it to meet K only in zero.
 
 D is the union U of coordinate subspaces, or its complement under the
 complement flag.  The search counts whichever of D and its complement in
@@ -148,7 +149,8 @@ it searches: all of 1..k for ``hierarchy_prop1``, r alone for
 this order, and is frozen once built:
 
 1. it resolves the cap, refuses an empty D by ``ComplexSpec.empty``
-   before any sizing, reads D at C and walks the generators'
+   before any sizing, reads K's pivots and D at C, raises unless C and
+   the pivots partition the m coordinates, and walks the generators'
    ``union_terms`` of that spec: |U|, n and the scanned side's spec and
    size are read off those terms;
 2. it validates each rank and checks its G(k, r) against the cap;
@@ -161,8 +163,9 @@ this order, and is frozen once built:
 
 ``_search`` then only scans.  A request whose ranks all take the
 character sum lists nothing, and an oversized request is refused before
-anything of the side's size is allocated.  No vector of K is ever
-enumerated.
+anything of the side's size is allocated.  The context reads K by its
+pivots alone (``simplicial.kernel_pivots``), the same rule that gives C,
+so no row of K is built and a large kernel costs m integers.
 """
 
 from __future__ import annotations
@@ -174,16 +177,10 @@ import numpy as np
 
 from .config import check_cap, resolve_max_enum
 from .field import Field, matmul
-from .linalg import (
-    _CHUNK_BYTES,
-    Subspace,
-    basis_chunks,
-    codes_to_matrix,
-    rref,
-    subspace_count,
-    subspace_from_rref,
-)
-from .simplicial import ComplexSpec, k_space, member_codes, restrict, union_size, union_terms
+from .linalg import _CHUNK_BYTES, Subspace, basis_chunks, codes_to_matrix, subspace_count
+from .linalg import subspace_from_rref
+from .simplicial import ComplexSpec, k_space, kernel_pivots, member_codes, restrict
+from .simplicial import union_size, union_terms
 
 @dataclass(eq=False)
 class LinearCode:
@@ -203,13 +200,12 @@ def build_code(field: Field, spec: ComplexSpec, max_enum=None) -> LinearCode:
     codes = member_codes(spec, field.q, max_enum)
     defining = codes_to_matrix(codes, field.q, spec.m)
     kernel = k_space(spec, field)
-    k = spec.m - kernel.dim
     return LinearCode(
         field=field,
         spec=spec,
         generator=defining.T.copy(),
         n=len(codes),
-        k=k,
+        k=spec.m - kernel.dim,
         kernel=kernel,
     )
 
@@ -290,7 +286,7 @@ class _SearchContext:
     columns: tuple  # C, the k coordinates of F^m the search spans
     side: ComplexSpec  # the smaller of U and its complement in F^k
     side_size: int  # its number of vectors
-    kernel: Subspace  # K, which every witness must meet only in zero
+    pivots: tuple  # K's RREF pivots, the rest of range(m); every witness is zero there
     terms: dict  # union_terms of U, the union of D read at C
     picks: dict  # {r: does rank r take the character sum}, per planned rank
     small: np.ndarray | None  # (side_size, k) side, if a planned rank takes the member product
@@ -379,29 +375,13 @@ def _character_sums(field: Field, bases: np.ndarray, table: np.ndarray):
     return table[..., supports].sum(axis=-2) // q**r
 
 
-def _valid_mask(field: Field, bases: np.ndarray, kernel: Subspace) -> np.ndarray:
-    """True where the candidate meets the kernel only in zero: where its
-    r rows stacked on K's basis have rank r + dim K.  Each row is first
-    cleared at K's pivots by K's RREF rows, which are zero at each other's
-    pivots; a nonzero vector of K is nonzero at some pivot, so the stack
-    has that rank exactly when the r cleared rows have rank r, and only
-    they are reduced.  The search never builds a candidate that meets K,
-    so it runs this once per rank, on the witness, as a check of that.  A
-    zero K is met by nothing, so it is settled without a reduction."""
-    if not kernel.dim:
-        return np.ones(len(bases), dtype=bool)
-
-    def cleared(row):
-        for pivot, k_row in zip(kernel.pivots, kernel.basis):
-            c = row[pivot]
-            if c:
-                row = [field.sub(x, field.mul(c, y)) for x, y in zip(row, k_row)]
-        return row
-
-    r = bases.shape[1]
-    return np.array(
-        [rref(field, map(cleared, basis))[1] == r for basis in bases.tolist()], dtype=bool
-    )
+def _valid_mask(bases: np.ndarray, pivots) -> np.ndarray:
+    """True where the candidate's rows are zero at every one of ``pivots``,
+    those of K's canonical RREF basis.  Every nonzero vector of K is
+    nonzero at one of its pivots, so such a candidate meets K only in
+    zero.  The search builds its candidates inside F^C, off the pivots,
+    so it runs this once per rank, on the witness, as a check of that."""
+    return ~bases[:, :, list(pivots)].any(axis=(1, 2))
 
 
 def _search_context(field: Field, spec: ComplexSpec, max_enum=None, ranks=None) -> _SearchContext:
@@ -413,8 +393,10 @@ def _search_context(field: Field, spec: ComplexSpec, max_enum=None, ranks=None) 
     if spec.empty:
         raise ValueError(f"defining set {spec.describe()} is empty")
     q = field.q
-    kernel = k_space(spec, field)
-    columns, local = restrict(spec, kernel)
+    pivots = kernel_pivots(spec, q)
+    columns, local = restrict(spec, q)
+    if sorted(columns + pivots) != list(range(spec.m)):
+        raise RuntimeError(f"C and K's pivots do not partition [m] for {spec.describe()}")
     k = len(columns)
     terms = union_terms(local.sets, max_enum)
     union = union_size(terms, q)
@@ -438,7 +420,7 @@ def _search_context(field: Field, spec: ComplexSpec, max_enum=None, ranks=None) 
         columns=columns,
         side=side,
         side_size=side_size,
-        kernel=kernel,
+        pivots=pivots,
         terms=terms,
         picks=picks,
         small=codes_to_matrix(member_codes(side, q, max_enum), q, k) if member_product else None,
@@ -484,7 +466,7 @@ def _search(ctx: _SearchContext, r: int, *, d1=None):
                 break
     embedded = np.zeros((r, spec.m), dtype=np.int64)
     embedded[:, ctx.columns] = witness
-    if not _valid_mask(field, embedded[None], ctx.kernel).all():
+    if not _valid_mask(embedded[None], ctx.pivots).all():
         raise RuntimeError(f"the rank-{r} witness meets the kernel of {spec.describe()}")
     return ctx.n - best, subspace_from_rref(embedded)
 

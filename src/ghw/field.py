@@ -11,9 +11,9 @@ constant term upward, so element encodings are reproducible across runs.
 GF(4) gets x^2 + x + 1.  For e = 1 the modulus is the degree-1 polynomial
 x, under which "residue polynomial" degenerates to the residue mod p.
 
-The vector routines share one arithmetic path for every q: scoring, the
-kernel mask and the oracle each call ``matmul``, the package's only
-product over GF(q).  An element is its e digits over F_p, and multiplying
+The vector routines share one arithmetic path for every q: scoring and
+the oracle each call ``matmul``, the package's only product over
+GF(q).  An element is its e digits over F_p, and multiplying
 by a fixed element is its e-by-e matrix over F_p (the regular
 representation), so a product of code matrices over GF(q) is an integer
 matmul of digits against the block-expanded right operand, reduced mod p,

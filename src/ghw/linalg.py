@@ -29,11 +29,13 @@ meets, ``_representative_codes`` expands the free cells row major, most
 significant first: a column without its lead takes digit 0 or 1, one
 that has it takes any digit, and a prefix is dropped as soon as none of
 its completions falls in the range, so the work follows the range, not
-the pivot set.  The codes kept are filled into rows by the same digit
-fill as every other basis.  ``representative_count`` gives their total
-in closed form, a cross-check as the Gaussian binomial is: a column with
-a free cells has q^a fillings once it has its lead and
-1 + (q^a - 1)/(q - 1) before.  At q = 2 every basis is a representative.
+the pivot set; a range whose codes all share a leading digit that no
+representative has (``_dead_prefix``) is empty before any expansion.
+The codes kept are filled into rows by the same digit fill as every
+other basis.  ``representative_count`` gives their total in closed
+form, a cross-check as the Gaussian binomial is: a column with a free
+cells has q^a fillings once it has its lead and 1 + (q^a - 1)/(q - 1)
+before.  At q = 2 every basis is a representative.
 """
 
 from __future__ import annotations
@@ -260,16 +262,37 @@ def _bases_layout(q: int, m: int, r: int):
     return tuple(firsts), tuple(blocks)
 
 
+def _dead_prefix(q: int, free, lo: int, hi: int) -> bool:
+    """Does every code in lo..hi-1 fail to be a representative by the
+    leading free-cell digits they all share, those of lo and hi - 1: a
+    digit >= 2 in a column that has no lead yet?  Scalar, no numpy."""
+    led = set()  # columns whose lead the shared digits hold
+    for idx, (_, j) in enumerate(free):
+        span = q ** (len(free) - 1 - idx)
+        digit = lo // span % q
+        if digit != (hi - 1) // span % q:
+            return False
+        if digit >= 2 and j not in led:
+            return True
+        if digit:
+            led.add(j)
+    return False
+
+
 def _representative_codes(q: int, free, lo: int, hi: int) -> np.ndarray:
     """The free-cell codes lo..hi-1 of one pivot set whose every column
     has element code 1 as its first nonzero entry, ascending.
 
-    Expands the cells row major, most significant first: a column without
-    its lead takes digit 0 or 1, one that has it takes any digit, and a
-    prefix is dropped as soon as none of its completions falls in
-    [lo, hi).  Which columns have their lead is one boolean per column,
-    not a bit mask, so columns past 63 keep theirs.
+    A range whose shared leading digits already rule it out
+    (``_dead_prefix``) is empty at once.  Otherwise this expands the cells
+    row major, most significant first: a column without its lead takes
+    digit 0 or 1, one that has it takes any digit, and a prefix is dropped
+    as soon as none of its completions falls in [lo, hi).  Which columns
+    have their lead is one boolean per column, not a bit mask, so columns
+    past 63 keep theirs.
     """
+    if _dead_prefix(q, free, lo, hi):
+        return np.zeros(0, dtype=np.int64)
     codes = np.zeros(1, dtype=np.int64)
     led = np.zeros((1, 1 + max((j for _, j in free), default=0)), dtype=bool)
     digits = np.arange(q)

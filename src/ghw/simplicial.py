@@ -41,7 +41,7 @@ import numpy as np
 
 from .config import check_cap
 from .field import Field
-from .linalg import Subspace, codes_to_matrix, subspace_from_vectors
+from .linalg import Subspace, codes_to_matrix
 
 
 @dataclass(frozen=True)
@@ -207,6 +207,25 @@ def enumerate_members(spec: ComplexSpec, field: Field, max_enum=None):
     return [tuple(int(x) for x in row) for row in mat]
 
 
+def _inner(spec: ComplexSpec) -> list:
+    """I, ascending: the i for which [m] - {i} is a generator.  A generator
+    of size m - 1 misses the one coordinate its sum falls short of
+    1 + ... + m by."""
+    return sorted(spec.m * (spec.m + 1) // 2 - sum(s) for s in spec.sets if len(s) == spec.m - 1)
+
+
+def kernel_pivots(spec: ComplexSpec, q: int) -> tuple:
+    """The pivots of the canonical RREF basis of K, the orthogonal
+    complement of the span of D, ascending and 0-based, read off the
+    generators alone (``k_space`` says why): every member of I but its
+    last for a nonempty complement at q = 2, none for one over q > 2, and
+    otherwise the coordinates off the union, all of them for an empty D."""
+    if spec.complement and not spec.empty:
+        return tuple(i - 1 for i in _inner(spec)[:-1]) if q == 2 else ()
+    covered = set() if spec.empty else set().union(*spec.sets)
+    return tuple(j for j in range(spec.m) if j + 1 not in covered)
+
+
 def k_space(spec: ComplexSpec, field: Field) -> Subspace:
     """Orthogonal complement K of the span of the defining set D.
 
@@ -217,49 +236,49 @@ def k_space(spec: ComplexSpec, field: Field) -> Subspace:
     face: an empty D (``ComplexSpec.empty``) gives K = F^m, and otherwise
     D holds every vector of full support.  For q > 2 those span F^m (the
     all-ones vector minus itself with lambda outside {0, 1} at position j
-    is (1 - lambda) e_j), so K = 0.  For q = 2 let I hold the i for which
-    [m] - {i} is a generator: e_j lies in the span for every j outside I
-    and every non-face contains I, so K is the even-weight vectors
-    supported on I, of dimension max(0, |I| - 1).  A coordinate K's unit
-    rows, in ascending order, are already its canonical RREF basis; the
-    q = 2 basis comes from ``subspace_from_vectors``.
+    is (1 - lambda) e_j), so K = 0.  For q = 2 let I (``_inner``) hold the
+    i for which [m] - {i} is a generator: e_j lies in the span for every j
+    outside I and every non-face contains I, so K is the even-weight
+    vectors supported on I, of dimension max(0, |I| - 1).
+
+    The canonical RREF basis has one row per pivot p of ``kernel_pivots``,
+    the unit row e_p, plus e_t for t = max I in a complement: at q = 2
+    its pivots are the members of I below t, and at q > 2 it has none.
+    These rows are zero at each other's pivots and lead with 1, so no
+    reduction runs.  Only ``build_code`` lists them; the search reads the
+    pivots alone.
     """
-    m = spec.m
-    full = set(range(1, m + 1))
-    gens = [set(s) for s in spec.sets]
-    if not spec.complement or spec.empty:
-        axes = range(1, m + 1) if spec.complement else sorted(full - set().union(*gens))
-        zeros = (0,) * m
-        rows = tuple(zeros[: i - 1] + (1,) + zeros[i:] for i in axes)
-        return Subspace(ambient=m, dim=len(rows), basis=rows, pivots=tuple(i - 1 for i in axes))
-    inner = [i for i in range(1, m + 1) if full - {i} in gens] if field.q == 2 else []
-    rows = [tuple(int(j in (inner[0], i)) for j in range(1, m + 1)) for i in inner[1:]]
-    return subspace_from_vectors(field, rows, m)
+    pivots = kernel_pivots(spec, field.q)
+    tail = _inner(spec)[-1:] if spec.complement else []  # [t], or none
+    base = tuple(int(j + 1 in tail) for j in range(spec.m))
+    rows = tuple(base[:p] + (1,) + base[p + 1 :] for p in pivots)
+    return Subspace(ambient=spec.m, dim=len(rows), basis=rows, pivots=pivots)
 
 
-def restrict(spec: ComplexSpec, kernel: Subspace):
-    """(C, D read at C): C the ascending 0-based coordinates off the pivots
-    of ``kernel`` (``k_space(spec)``), and the spec on |C| coordinates
-    whose defining set is {v restricted to C : v in D}, with a zero kernel.
+def restrict(spec: ComplexSpec, q: int):
+    """(C, D read at C): C the ascending 0-based coordinates off
+    ``kernel_pivots(spec, q)``, and the spec on |C| coordinates whose
+    defining set is {v restricted to C : v in D}, with a zero kernel.
+    Both come from the generators alone; no row of K is built.
 
     F^m is K plus F^C, and D lies in K-perp, so reading at C is one to one
     on D.  A zero K keeps C = [m] and the spec itself.  Without the
     complement flag C is the union of the generators, which are
     relabeled onto 1..|C| in order.  With it K is nonzero only at q = 2,
-    where I (the i whose [m] - {i} is a generator) is the support of K's
-    basis and C keeps only the last member t of I.  Every generator either
-    is some [m] - {i} or contains I, and every v in D is 1 on I, so D at C
-    is the complement of the union of F^(C - {t}) and of F^(S meet C) for
-    each generator S containing I; C - {t} is empty when C = {t}, so this
-    is built by ``normalize_sets``, which ``normalize`` would refuse."""
-    pivots = set(kernel.pivots)
+    where I (``_inner``) is the support of K's basis and C keeps only the
+    last member t of I.  Every generator either is some [m] - {i} or
+    contains I, and every v in D is 1 on I, so D at C is the complement
+    of the union of F^(C - {t}) and of F^(S meet C) for each generator S
+    containing I; C - {t} is empty when C = {t}, so this is built by
+    ``normalize_sets``, which ``normalize`` would refuse."""
+    pivots = set(kernel_pivots(spec, q))
     columns = tuple(j for j in range(spec.m) if j not in pivots)
-    if not kernel.dim:
+    if not pivots:
         return columns, spec
     label = {j + 1: i for i, j in enumerate(columns, start=1)}
     sets = spec.sets
     if spec.complement:
-        inner = {j + 1 for row in kernel.basis for j, x in enumerate(row) if x}
+        inner = set(_inner(spec))
         sets = [[j for j in label if j not in inner]] + [s for s in sets if inner <= set(s)]
     kept, _ = normalize_sets([[label[j] for j in s if j in label] for s in sets])
     return columns, ComplexSpec(m=len(columns), sets=kept, complement=spec.complement)

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import math
 import random
+import re
 import tracemalloc
 from collections import Counter
 from itertools import combinations, product
@@ -36,7 +37,6 @@ from ghw.linalg import (
     codes_to_matrix,
     enumerate_subspaces,
     gaussian_binomial,
-    rref,
     span_vectors,
     subspace_bases_array,
     subspace_count,
@@ -44,7 +44,7 @@ from ghw.linalg import (
 )
 from ghw.oracle import ghw_definitional, hierarchy_definitional
 from ghw.reference import run_reference_checks
-from ghw.simplicial import cardinality, k_space, member_codes, normalize, union_terms
+from ghw.simplicial import cardinality, k_space, kernel_pivots, member_codes, normalize, union_terms
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -453,11 +453,12 @@ def test_witnesses_skip_the_scalar_reduction(monkeypatch):
 
 
 @pytest.mark.parametrize("field", [F2, F3, F4], ids=["q2", "q3", "q4"])
-def test_valid_mask_matches_a_rank_check(field):
-    """Every candidate at m <= 4, against every kernel k_space gives for
-    one or two generators with or without the complement flag: the rank
-    check (basis plus K has rank r + dim K) holds exactly when no nonzero
-    vector of the candidate's span is a vector of K, both spans listed."""
+def test_valid_mask_accepts_only_bases_that_meet_k_in_zero(field):
+    """Every canonical basis at m <= 4, against the kernel of every spec
+    of one or two generators with or without the complement flag: a basis
+    that ``_valid_mask`` accepts by the pivots the search reads spans a
+    subspace meeting ``k_space(spec)`` only in zero, both spans listed,
+    and the bases it accepts are the G(m - dim K, r) inside F^C."""
     q = field.q
     for m in range(1, 5):
         subsets = [
@@ -466,75 +467,58 @@ def test_valid_mask_matches_a_rank_check(field):
         kernels = set()
         for sets in [[a] for a in subsets] + [list(p) for p in combinations(subsets, 2)]:
             for complement in (False, True):
-                kernels.add(k_space(normalize(m, sets, complement), field))
-        assert any(kernel.dim for kernel in kernels)
-        for kernel in kernels:
+                spec = normalize(m, sets, complement)
+                kernels.add((kernel_pivots(spec, q), k_space(spec, field)))
+        assert any(kernel.dim for _, kernel in kernels)
+        for pivots, kernel in kernels:
             basis = np.asarray(kernel.basis, dtype=np.int64).reshape(kernel.dim, m)
             inside = set(map(tuple, span_vectors(field, basis).tolist()))
             for r in range(1, m + 1):
                 bases = subspace_bases_array(q, m, r, 0, gaussian_binomial(m, r, q))
-                want = [
-                    inside.isdisjoint(map(tuple, span_vectors(field, b).tolist())) for b in bases
-                ]
-                assert _valid_mask(field, bases, kernel).tolist() == want, (m, kernel, r)
+                mask = _valid_mask(bases, pivots)
+                assert mask.sum() == gaussian_binomial(m - kernel.dim, r, q), (m, kernel, r)
+                for b in bases[mask]:
+                    span = map(tuple, span_vectors(field, b).tolist())
+                    assert inside.isdisjoint(span), (m, kernel, b)
 
 
-@pytest.mark.parametrize(
-    "field",
-    [F2, F3, F4, field_new(5), field_new(3, 2)],
-    ids=["q2", "q3", "q4", "q5", "q9"],
-)
-def test_valid_mask_matches_the_stacked_rank_definition(field):
-    """Random batches of r x m matrices, independent or not, against
-    random kernels from ``subspace_from_vectors`` (and, at q = 2, the
-    kernels of complements, even-weight vectors on I): the mask holds
-    exactly where the rows stacked on all of K's basis have rank
-    r + dim K, the definition the mask reduces to r rows."""
-    rng = random.Random(field.q)
-    kernels = []
-    for _ in range(40):
-        m = rng.randint(2, 7)
-        vectors = [[rng.randrange(field.q) for _ in range(m)] for _ in range(rng.randint(1, m - 1))]
-        kernels.append(subspace_from_vectors(field, vectors, m))
-    if field.q == 2:
-        for m in range(3, 7):
-            gens = [[j for j in range(1, m + 1) if j != i] for i in range(1, m + 1)]
-            for count in range(2, m + 1):
-                kernels.append(k_space(normalize(m, gens[:count], True), field))
-    batches = 0
-    for kernel in kernels:
-        if not kernel.dim:
-            continue
-        m = kernel.ambient
-        for _ in range(6):
-            r = rng.randint(1, m - kernel.dim)
-            bases = np.array(
-                [[[rng.randrange(field.q) for _ in range(m)] for _ in range(r)] for _ in range(8)],
-                dtype=np.int64,
-            )
-            want = [
-                rref(field, basis + list(kernel.basis))[1] == r + kernel.dim for basis in bases.tolist()
-            ]
-            assert _valid_mask(field, bases, kernel).tolist() == want, (kernel, bases)
-            batches += 1
-    assert batches >= 150
+def test_the_search_path_builds_no_row_of_k(monkeypatch, capsys):
+    """The search reads K by its pivots alone: with every builder of K's
+    rows refused, ``params`` and ``count-subspaces`` on <1,2> in F^3200
+    (a 3,198-dim coordinate kernel) and the q = 2 complement search with
+    a 2-dim kernel give the output they give unpatched, and the search
+    context of <1,2> in F^3200 traces below 2 MB."""
+    complement = ";".join(",".join(str(j) for j in range(1, 8) if j != i) for i in (1, 2, 3))
+    requests = [
+        ["params", "--q", "2", "--m", "3200", "--sets", "1,2"],
+        ["count-subspaces", "--q", "2", "--m", "3200", "--sets", "1,2", "--r", "1"],
+        ["hierarchy", "--method", "brute", "--q", "2", "--m", "7", "--sets", complement, "--complement"],
+    ]
 
+    def run(argv):
+        status = cli.main(argv)
+        return status, re.sub(r"elapsed_ms: \d+", "elapsed_ms: -", capsys.readouterr().out)
 
-def test_valid_mask_reduces_only_the_witness_rows(monkeypatch, capsys):
-    """`params --q 2 --m 1600 --sets 1,2` has a 1,598-dim coordinate
-    kernel; the rank-1 witness check row-reduces its one cleared row and
-    never the witness stacked on K's basis."""
-    seen = []
+    want = [run(argv) for argv in requests]
+    assert [status for status, _ in want] == [0, 0, 0]
+    assert want[0][1].startswith("[4, 2, 2] code over GF(2), <1,2> in F^3200")
 
-    def counting(field, rows):
-        rows = [list(row) for row in rows]
-        seen.append(len(rows))
-        return rref(field, rows)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search built a row of K")
 
-    monkeypatch.setattr("ghw.code.rref", counting)
-    assert cli.main(["params", "--q", "2", "--m", "1600", "--sets", "1,2"]) == 0
-    assert capsys.readouterr().out.startswith("[4, 2, 2] code over GF(2), <1,2> in F^1600")
-    assert seen == [1]
+    for module in ("ghw.code", "ghw.simplicial"):
+        for name in ("k_space", "subspace_from_vectors"):
+            monkeypatch.setattr(f"{module}.{name}", refuse, raising=False)
+    assert [run(argv) for argv in requests] == want
+    spec = normalize(3200, [[1, 2]], False)
+    tracemalloc.start()
+    try:
+        ctx = _search_context(F2, spec, ranks=(1,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (ctx.k, ctx.columns, ctx.pivots) == (2, (0, 1), tuple(range(2, 3200)))
+    assert peak < 2 * 2**20, peak
 
 
 def test_the_search_context_resolves_the_cap_once(monkeypatch):
@@ -849,7 +833,7 @@ def test_orbit_representatives_cover_every_basis(field):
                     _orthogonal_counts(field, bases[within][:, :, ctx.columns], side),
                 )
                 assert np.array_equal(
-                    _valid_mask(field, reps, ctx.kernel), _valid_mask(field, bases, ctx.kernel)
+                    _valid_mask(reps, ctx.pivots), _valid_mask(bases, ctx.pivots)
                 )
             firsts, blocks = _bases_layout(q, m, r)
             for first, stop, (_, free) in zip(firsts, firsts[1:], blocks):

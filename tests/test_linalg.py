@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ghw import linalg
 from ghw.config import ResourceCapError
 from ghw.field import field_new
 from ghw.linalg import (
@@ -286,6 +287,36 @@ def test_orbit_bases_past_column_63(q, m, r):
     got = subspace_bases_array(q, m, r, total - 13, total, orbits=True).tolist()
     assert got == [b for b in plain if _leads_with_one(b)]
     assert got
+
+
+def test_a_dead_prefix_ends_only_empty_expansions(monkeypatch):
+    """Every range ``basis_chunks(q, m, r, orbits=True)`` hands the
+    expansion for q = 3, 4, 5 and m <= 6: where the digits shared by lo
+    and hi - 1 end it early, the full expansion holds no representative,
+    and everywhere the codes are those of the full expansion."""
+    visited = []
+    expand = linalg._representative_codes
+
+    def record(q, free, lo, hi):
+        visited.append((q, free, lo, hi))
+        return expand(q, free, lo, hi)
+
+    monkeypatch.setattr("ghw.linalg._representative_codes", record)
+    for q in (3, 4, 5):
+        for m in range(1, 7):
+            for r in range(m + 1):
+                linalg.subspace_bases_array.cache_clear()
+                for _ in basis_chunks(q, m, r, orbits=True):
+                    pass
+    monkeypatch.undo()
+    fired = [linalg._dead_prefix(*call) for call in visited]
+    got = [expand(*call) for call in visited]
+    monkeypatch.setattr("ghw.linalg._dead_prefix", lambda *args: False)
+    full = [expand(*call) for call in visited]
+    for call, dead, codes, want in zip(visited, fired, got, full):
+        assert not (dead and len(want)), call
+        assert np.array_equal(codes, want), call
+    assert (len(visited), sum(fired)) == (1392, 795)
 
 
 def test_orbit_bases_at_q2_are_every_basis():

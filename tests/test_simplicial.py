@@ -14,6 +14,7 @@ from ghw.simplicial import (
     cardinality,
     enumerate_members,
     k_space,
+    kernel_pivots,
     member,
     member_codes,
     normalize,
@@ -290,7 +291,7 @@ def test_restrict_reads_d_at_the_coordinates_off_the_kernel_pivots():
                 if spec.empty:
                     continue
                 kernel = k_space(spec, field)
-                columns, local = restrict(spec, kernel)
+                columns, local = restrict(spec, q)
                 k = len(columns)
                 assert columns == tuple(j for j in range(m) if j not in kernel.pivots)
                 assert local.m == k and k_space(local, field).dim == 0, spec
@@ -304,7 +305,8 @@ def test_restrict_reads_d_at_the_coordinates_off_the_kernel_pivots():
 
 def test_k_space_is_the_dual_of_the_member_span():
     """Every antichain of at most three generators, both flags, against
-    the orthogonal complement of the row-reduced members."""
+    the orthogonal complement of the row-reduced members; the pivots the
+    search reads off the generators are those of that basis."""
     checked = 0
     plan = ((2, 1, 5), (3, 1, 4), (2, 2, 3), (5, 1, 3), (2, 3, 2), (3, 2, 2))
     for p, e, top in plan:
@@ -316,6 +318,7 @@ def test_k_space_is_the_dual_of_the_member_span():
                     members = enumerate_members(spec, field)
                     span = subspace_from_vectors(field, members, m)
                     assert k_space(spec, field) == dual(field, span), (field, spec)
+                    assert kernel_pivots(spec, field.q) == k_space(spec, field).pivots, spec
                     checked += 1
     assert checked == 3552
 
@@ -391,15 +394,26 @@ def test_k_space_reads_no_members(monkeypatch):
 def test_k_space_of_a_plain_spec_needs_no_reduction(monkeypatch):
     """A plain spec's K is the coordinate subspace off the union, and an
     empty D's is F^m: their unit rows are already the canonical basis, so
-    no row reduction runs, even at m = 2000."""
+    no row reduction runs, even at m = 2000.  Nor does one for a q = 2
+    complement with a kernel, whose rows e_i + e_t (t = max I) are built
+    straight from the pivots, at m = 2000 too."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("k_space reduced unit rows")
+        raise AssertionError("k_space reduced its rows")
 
-    monkeypatch.setattr("ghw.simplicial.subspace_from_vectors", refuse)
+    monkeypatch.setattr("ghw.simplicial.subspace_from_vectors", refuse, raising=False)
+    monkeypatch.setattr("ghw.linalg.rref", refuse)
     m = 2000
     ker = k_space(normalize(m, [[1, 2]], False), F2)
     assert (ker.ambient, ker.dim, ker.pivots) == (m, m - 2, tuple(range(2, m)))
     assert ker.basis[0] == (0, 0, 1) + (0,) * (m - 3)
     assert ker.basis[-1] == (0,) * (m - 1) + (1,)
     assert k_space(normalize(3, [[1, 2, 3]], True), F3).pivots == (0, 1, 2)
+    gens = [[j for j in range(1, m + 1) if j != i] for i in (3, 700, 2000)]
+    ker = k_space(normalize(m, gens, True), F2)
+    assert (ker.ambient, ker.dim, ker.pivots) == (m, 2, (2, 699))
+    for row, i in zip(ker.basis, (3, 700)):
+        assert row == tuple(int(j in (i, m)) for j in range(1, m + 1))
+    assert k_space(normalize(6, [[1, 2, 4, 5, 6], [1, 2, 3, 4, 5]], True), F2).basis == (
+        (0, 0, 1, 0, 0, 1),
+    )
